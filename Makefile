@@ -23,11 +23,12 @@ race:
 
 # The concurrency-heavy packages (barrier window evaluation, in-run probe
 # pool, shared cross-request state, anytime cancellation) re-run fresh
-# under the race detector at GOMAXPROCS 1 and 4: serial (pools degenerate)
-# and wide (fan-outs real), with the golden determinism fixture checked at
-# both widths — parallelism must be invisible in the output.
+# under the race detector at GOMAXPROCS 1, 2 and 4: serial (pools
+# degenerate), a 2-core host's width, and wide (fan-outs real), with the
+# golden determinism fixture checked at each width — parallelism must be
+# invisible in the output.
 race-core:
-	for gmp in 1 4; do \
+	for gmp in 1 2 4; do \
 		echo "=== GOMAXPROCS=$$gmp ==="; \
 		GOMAXPROCS=$$gmp $(GO) test -run TestGoldenDeterminism -count=1 . && \
 		GOMAXPROCS=$$gmp $(GO) test -race -count=1 ./internal/core/... ./internal/serve/... || exit 1; \
@@ -136,11 +137,12 @@ SEED ?= 1
 stress:
 	$(GO) run ./cmd/stress -n $(N) -seed $(SEED)
 
-# Short fuzz passes over each fuzz target: the graph/format parsers and
-# the audit oracle. ~30s total.
+# Short fuzz passes over each fuzz target: the graph/format parsers, the
+# audit oracle and the HTTP schedule POST path. ~35s total.
 FUZZTIME ?= 7s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzReadSTG -fuzztime $(FUZZTIME) ./internal/formats
 	$(GO) test -run '^$$' -fuzz FuzzParseTGFF -fuzztime $(FUZZTIME) ./internal/formats
 	$(GO) test -run '^$$' -fuzz FuzzAudit -fuzztime $(FUZZTIME) ./internal/audit
+	$(GO) test -run '^$$' -fuzz FuzzScheduleBody -fuzztime $(FUZZTIME) ./internal/serve/httpserve

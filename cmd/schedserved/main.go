@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -30,6 +31,63 @@ func main() {
 		fmt.Fprintln(os.Stderr, "schedserved:", err)
 		os.Exit(1)
 	}
+}
+
+// Connection limits. The handler reads a whole request body before it
+// decodes anything, so a client that trickles its body holds an admission
+// slot and a body buffer for as long as the read lasts; bodyReadTimeout
+// bounds that read (64 MiB, the default body bound, needs about 1 MiB/s).
+// It is a read deadline set per request and cleared once the body is read,
+// not http.Server.ReadTimeout, so that a search running past it never
+// depends on how net/http treats a whole-request deadline after the body.
+// Handling time after the body is read is not limited here: the request
+// context carries the client's own cancellation down to the search.
+const (
+	readHeaderTimeout = 10 * time.Second
+	bodyReadTimeout   = time.Minute
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps h in a server with the node's connection limits,
+// giving each request body bodyTimeout to arrive.
+func newHTTPServer(h http.Handler, bodyTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           limitBodyRead(h, bodyTimeout),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
+// limitBodyRead sets a read deadline d from now on the connection before h
+// runs and clears it when h has read the whole body, so the deadline cuts
+// off a slow body but never a slow handler. A request without a body gets
+// no deadline: the server is already reading ahead on its connection.
+func limitBodyRead(h http.Handler, d time.Duration) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rc := http.NewResponseController(w)
+		if r.ContentLength != 0 && rc.SetReadDeadline(time.Now().Add(d)) == nil {
+			r.Body = &deadlineBody{ReadCloser: r.Body, rc: rc}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// deadlineBody clears the connection's read deadline once the body has
+// been read to its end. A failed read leaves it set, so the rest of a cut
+// off body is not waited for either.
+type deadlineBody struct {
+	io.ReadCloser
+	rc *http.ResponseController
+}
+
+func (b *deadlineBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if err == io.EOF {
+		b.rc.SetReadDeadline(time.Time{})
+	}
+	return n, err
 }
 
 func run() error {
@@ -67,7 +125,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: node.Handler()}
+	hs := newHTTPServer(node.Handler(), bodyReadTimeout)
 	fmt.Printf("schedserved listening on %s\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -197,10 +197,18 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 		sc.preset[t] = true
 		// Fixed tasks that are still running block their processors. On
 		// resume the chart still holds these reservations (the trace key
-		// pins the preset), so they must not be booked twice.
+		// pins the preset), so they must not be booked twice. Each span is
+		// clipped to start at BusyUntil, whose busy reservation below
+		// already covers the earlier part: overlapping intervals would let
+		// the chart report a frontier in the past. A task that finished
+		// before BusyUntil books nothing (reserve drops empty spans).
 		if !resume {
 			for _, proc := range pl.Procs {
-				sc.chart.reserve(proc, pl.Start, pl.Finish)
+				start := pl.Start
+				if preset.BusyUntil != nil {
+					start = max(start, preset.BusyUntil[proc])
+				}
+				sc.chart.reserve(proc, start, pl.Finish)
 			}
 		}
 	}

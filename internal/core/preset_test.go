@@ -144,3 +144,57 @@ func TestScheduleWithPresetReallocatesRemaining(t *testing.T) {
 		t.Errorf("fixed task modified: %+v", s.Placements[0])
 	}
 }
+
+// TestPresetFinishedFixedTaskKeepsBusyFrontier: a fixed task that already
+// finished lies inside its processors' busy span [0, BusyUntil). It must
+// not pull their frontier back into the past: no newly placed task may
+// start before BusyUntil on any of its processors, with or without
+// backfill, for one LoCBS run and for the full search.
+func TestPresetFinishedFixedTaskKeepsBusyFrontier(t *testing.T) {
+	tg := mustTG(t,
+		[]model.Task{
+			tableTask(t, "done", 5),
+			tableTask(t, "running", 30),
+			tableTask(t, "child", 10, 6),
+			tableTask(t, "free", 10, 6),
+		},
+		[]model.Edge{{From: 0, To: 2, Volume: 1000}})
+	c := model.Cluster{P: 2, Bandwidth: 1e6, Overlap: true}
+	busy := []float64{20, 20}
+	preset := Preset{
+		Fixed: map[int]schedule.Placement{
+			0: {Procs: []int{0}, Start: 0, Finish: 5},
+			1: {Procs: []int{1}, Start: 2, Finish: 32},
+		},
+		BusyUntil: busy,
+	}
+	check := func(name string, s *schedule.Schedule) {
+		t.Helper()
+		for task, pl := range s.Placements {
+			if _, fixed := preset.Fixed[task]; fixed {
+				continue
+			}
+			for _, proc := range pl.Procs {
+				if pl.Start < busy[proc]-schedule.Eps {
+					t.Errorf("%s: task %d starts at %v on proc %d, busy until %v", name, task, pl.Start, proc, busy[proc])
+				}
+			}
+		}
+	}
+	for _, backfill := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.Backfill = backfill
+		s, err := LoCBSWithPreset(tg, c, []int{1, 1, 1, 1}, cfg, preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("LoCBS", s)
+	}
+	for _, alg := range []*LoCMPS{New(), NewNoBackfill()} {
+		s, err := alg.ScheduleWithPreset(tg, c, preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("LoC-MPS", s)
+	}
+}

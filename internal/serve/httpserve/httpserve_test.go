@@ -197,8 +197,11 @@ func TestHedgingClipsTailLatency(t *testing.T) {
 	svcB, srvB, nodeB := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
 
 	client := newTestClient(t, ClientConfig{
-		Nodes:      []string{nodeA.URL, nodeB.URL},
-		HedgeFloor: 10 * time.Millisecond,
+		Nodes: []string{nodeA.URL, nodeB.URL},
+		// The happy path's first request opens a connection; under -race on
+		// two CPUs that alone has taken 17 ms, so the floor sits well above
+		// it and still far below the injected delay.
+		HedgeFloor: 100 * time.Millisecond,
 	})
 	ctx := t.Context()
 	req := requestHomedAt(t, client, nodeA.URL, 8)

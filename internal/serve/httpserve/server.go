@@ -1,6 +1,7 @@
 package httpserve
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"crypto/sha256"
@@ -8,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -31,11 +33,14 @@ type ServerConfig struct {
 	// MaxBodyBytes bounds a request body. <= 0 selects DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// RespCacheEntries bounds the node's cache of fully encoded response
-	// bytes, keyed by request fingerprint (<= 0 selects 1024). A repeat of
-	// a deterministic request is then served by a map lookup and a single
-	// write — no JSON decode, no scheduling pipeline — and clients can
-	// fetch known results content-addressed via GET /v1/schedule/{key}
-	// without re-sending the request body at all.
+	// bytes, keyed by request fingerprint (<= 0 selects 1024). A repeat
+	// whose body is byte-identical to one already answered is served by a
+	// SHA-256 of the body, a map lookup and a single write — no JSON
+	// decode, no fingerprint, no scheduling pipeline. A repeat encoded
+	// differently (whitespace, field order) is decoded and fingerprinted
+	// but still skips the pipeline. Clients can also fetch known results
+	// content-addressed via GET /v1/schedule/{key} without re-sending the
+	// request body at all.
 	RespCacheEntries int
 }
 
@@ -127,9 +132,24 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
+	// A body read in full is addressed by its digest: a byte-identical
+	// repeat of a cacheable request is answered before any decoding. A
+	// body cut short (over MaxBodyBytes, or the client went away) is never
+	// looked up or recorded by digest.
+	buf, rerr := s.readBody(w, r)
+	var digest bodyDigest
+	if rerr == nil {
+		digest = sha256.Sum256(buf.Bytes())
+		if ent, ok := s.resp.getBody(digest); ok {
+			putBody(buf)
+			s.writeCached(w, r, ent)
+			return
+		}
+	}
 	var wr serve.WireRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&wr); err != nil {
+	err := json.NewDecoder(bodyReader(buf.Bytes(), rerr)).Decode(&wr)
+	putBody(buf)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
@@ -142,7 +162,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	// Deterministic requests are replayable byte-for-byte: the fingerprint
 	// (with an iteration budget folded in, mirroring ScheduleAnytime)
-	// addresses the encoded response. Wall-clock deadline runs are the one
+	// addresses the encoded response, and the body digest is recorded on
+	// the entry it reaches. Wall-clock deadline runs are the one
 	// non-deterministic case and bypass the cache entirely.
 	cacheable := budget.Deadline.IsZero()
 	var rk respKey
@@ -157,7 +178,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		rk = respKey{key: key, anytime: anytime}
-		if ent, ok := s.resp.get(rk); ok {
+		if ent, ok := s.resp.get(rk, digest); ok {
 			s.writeCached(w, r, ent)
 			return
 		}
@@ -194,11 +215,58 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if cacheable {
 		etag := etagFor(data)
-		s.resp.put(rk, respVal{data: data, etag: etag})
+		s.resp.put(rk, respVal{data: data, etag: etag}, digest)
 		w.Header().Set("ETag", etag)
 	}
 	w.Write(data)
 }
+
+// bodyPoolMax caps the capacity of a buffer returned to bodyPool: one huge
+// body is left to the collector instead of being retained by the pool.
+// It also caps the Content-Length presize, so a client cannot make the
+// node allocate a large buffer up front by announcing a body it never
+// sends.
+const bodyPoolMax = 1 << 20
+
+// bodyPool recycles request-body buffers across requests.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads the request body, bounded by MaxBodyBytes, into a pooled
+// buffer presized from Content-Length. A non-nil error (including
+// *http.MaxBytesError) means the body was cut short; the buffer then holds
+// the bytes read before it. Return the buffer with putBody.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := min(r.ContentLength, s.cfg.MaxBodyBytes, bodyPoolMax); n > 0 {
+		// The spare MinRead lets ReadFrom see EOF without growing.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	return buf, err
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= bodyPoolMax {
+		bodyPool.Put(buf)
+	}
+}
+
+// bodyReader replays a buffered body to the JSON decoder. A body cut short
+// replays its prefix and then the read error, so the decoder sees exactly
+// the stream it would have read from the connection: a complete first
+// value still decodes, trailing data is ignored, and a value running into
+// the cut reports the read error.
+func bodyReader(b []byte, rerr error) io.Reader {
+	if rerr == nil {
+		return bytes.NewReader(b)
+	}
+	return io.MultiReader(bytes.NewReader(b), errReader{rerr})
+}
+
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // etagFor derives the strong validator for a response body. Results are
 // content-addressed and deterministic, so the same request yields the same
@@ -235,7 +303,7 @@ func (s *Server) handleGetSchedule(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ent, ok := s.resp.get(respKey{key: key})
+	ent, ok := s.resp.get(respKey{key: key}, noBody)
 	if !ok {
 		s.fail(w, http.StatusNotFound, "result not cached on this node")
 		return
@@ -345,26 +413,42 @@ type respVal struct {
 	etag string
 }
 
-// respCache is a bounded LRU of fully encoded response bodies.
+// bodyDigest is the SHA-256 of a request body as received. A digest hit is
+// served without decoding, so the hash must be collision-resistant: two
+// bodies sharing a digest would share an answer.
+type bodyDigest [sha256.Size]byte
+
+// noBody is the zero digest, which stands for "no body" (it is never a
+// SHA-256 in practice).
+var noBody bodyDigest
+
+// respCache is a bounded LRU of fully encoded response bodies. Entries are
+// keyed by respKey; each may also carry the digest of one request body
+// known to decode to that key, indexed by byBody. Evicting an entry drops
+// both keys, so len(byBody) <= len(byKey) <= cap.
 type respCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	byKey map[respKey]*list.Element
+	mu     sync.Mutex
+	cap    int
+	ll     *list.List
+	byKey  map[respKey]*list.Element
+	byBody map[bodyDigest]*list.Element
 }
 
 type respEnt struct {
-	key respKey
-	val respVal
+	key  respKey
+	val  respVal
+	body bodyDigest // noBody when none is recorded
 }
 
 func (c *respCache) init(capacity int) {
 	c.cap = capacity
 	c.ll = list.New()
 	c.byKey = make(map[respKey]*list.Element)
+	c.byBody = make(map[bodyDigest]*list.Element)
 }
 
-func (c *respCache) get(k respKey) (respVal, bool) {
+// get looks k up and, on a hit, records body (unless noBody) on the entry.
+func (c *respCache) get(k respKey, body bodyDigest) (respVal, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.byKey[k]
@@ -372,23 +456,55 @@ func (c *respCache) get(k respKey) (respVal, bool) {
 		return respVal{}, false
 	}
 	c.ll.MoveToFront(e)
+	c.bind(e, body)
 	return e.Value.(*respEnt).val, true
 }
 
-func (c *respCache) put(k respKey, v respVal) {
+// getBody looks an entry up by request-body digest.
+func (c *respCache) getBody(d bodyDigest) (respVal, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.byKey[k]; ok {
+	e, ok := c.byBody[d]
+	if !ok {
+		return respVal{}, false
+	}
+	c.ll.MoveToFront(e)
+	return e.Value.(*respEnt).val, true
+}
+
+// put stores v under k, recording body (unless noBody) on the entry.
+func (c *respCache) put(k respKey, v respVal, body bodyDigest) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.byKey[k]
+	if ok {
 		e.Value.(*respEnt).val = v
 		c.ll.MoveToFront(e)
-		return
+	} else {
+		e = c.ll.PushFront(&respEnt{key: k, val: v})
+		c.byKey[k] = e
 	}
-	c.byKey[k] = c.ll.PushFront(&respEnt{key: k, val: v})
+	c.bind(e, body)
 	for c.ll.Len() > c.cap {
 		back := c.ll.Back()
-		delete(c.byKey, back.Value.(*respEnt).key)
+		ent := back.Value.(*respEnt)
+		delete(c.byKey, ent.key)
+		delete(c.byBody, ent.body)
 		c.ll.Remove(back)
 	}
+}
+
+// bind makes d the one body digest of entry e, replacing any other. A
+// body decodes to exactly one respKey, so d is never bound to another
+// entry. The caller holds c.mu.
+func (c *respCache) bind(e *list.Element, d bodyDigest) {
+	ent := e.Value.(*respEnt)
+	if d == noBody || ent.body == d {
+		return
+	}
+	delete(c.byBody, ent.body)
+	ent.body = d
+	c.byBody[d] = e
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
