@@ -21,18 +21,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The concurrency-heavy packages (barrier window evaluation, in-run probe
-# pool, shared cross-request state, anytime cancellation) re-run fresh
-# under the race detector at GOMAXPROCS 1, 2 and 4: serial (pools
-# degenerate), a 2-core host's width, and wide (fan-outs real), with the
-# golden determinism fixture checked at each width — parallelism must be
-# invisible in the output.
+# The concurrency-heavy packages (in-run probe pool, concurrent searches
+# on pooled scratches, shared cross-request state, anytime cancellation)
+# re-run fresh under the race detector at GOMAXPROCS 1, 2 and 4: serial
+# (pools degenerate), a 2-core host's width, and wide (fan-outs real), with
+# the golden determinism fixture checked at each width — parallelism must be
+# invisible in the output. The whole suite then runs fresh at width 2,
+# where every test must pass as it does at any other width.
 race-core:
 	for gmp in 1 2 4; do \
 		echo "=== GOMAXPROCS=$$gmp ==="; \
 		GOMAXPROCS=$$gmp $(GO) test -run TestGoldenDeterminism -count=1 . && \
 		GOMAXPROCS=$$gmp $(GO) test -race -count=1 ./internal/core/... ./internal/serve/... || exit 1; \
 	done
+	GOMAXPROCS=2 $(GO) test -count=1 ./...
 
 # A single iteration of each mid-scale scheduler benchmark: catches gross
 # regressions and asserts the hot path still runs end to end.
@@ -114,7 +116,7 @@ bench-diff:
 	benchstat $(OLD) $(NEW)
 
 # CPU and heap profiles of the mid-scale scheduler benchmarks plus the
-# 100-task cold case that drives the probe-pool/pruning work (DESIGN.md
+# 100-task cold case that drives the probe-pool work (DESIGN.md
 # §13), for `go tool pprof profiles/locmps.test profiles/cpu.pprof`.
 # PROFILE_BENCH narrows the capture to one case, e.g.
 # `make profile PROFILE_BENCH='BenchmarkLoCMPS100Tasks128Procs$$'`.
@@ -138,11 +140,13 @@ stress:
 	$(GO) run ./cmd/stress -n $(N) -seed $(SEED)
 
 # Short fuzz passes over each fuzz target: the graph/format parsers, the
-# audit oracle and the HTTP schedule POST path. ~35s total.
+# audit oracle, the SWF trace reader and the HTTP schedule POST path. ~42s
+# total.
 FUZZTIME ?= 7s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzReadSTG -fuzztime $(FUZZTIME) ./internal/formats
 	$(GO) test -run '^$$' -fuzz FuzzParseTGFF -fuzztime $(FUZZTIME) ./internal/formats
 	$(GO) test -run '^$$' -fuzz FuzzAudit -fuzztime $(FUZZTIME) ./internal/audit
+	$(GO) test -run '^$$' -fuzz FuzzReadSWF -fuzztime $(FUZZTIME) ./internal/jobsched
 	$(GO) test -run '^$$' -fuzz FuzzScheduleBody -fuzztime $(FUZZTIME) ./internal/serve/httpserve

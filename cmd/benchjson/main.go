@@ -4,14 +4,14 @@
 // makespan ratio against the CPR baseline (a quality check: speedups must
 // not change what is scheduled) and a search_stats snapshot of the LoC-MPS
 // search layer (look-ahead steps, engine runs, allocation-memo hit rate,
-// speculation accounting).
+// resume and probe-pool accounting).
 //
 // The file keeps two snapshots: "baseline" (written once, preserved on
 // every rerun) and "current" (refreshed each run), plus the derived
 // speedups. Delete the file to re-baseline everything, or pass
 // -rebaseline with a comma-separated list of case names to re-measure just
 // those baselines using the reference scheduler (NewLoCMPSReference: memo,
-// resume and speculation disabled), so the recorded speedup compares the
+// resume and probe pool disabled), so the recorded speedup compares the
 // optimized engine against the same engine with its accelerations off.
 //
 // A case whose baseline and current entries are byte-identical carries no
@@ -67,15 +67,12 @@ type Result struct {
 
 // SearchSnapshot is the recorded slice of locmps.RunMetrics.
 type SearchSnapshot struct {
-	OuterIterations  int     `json:"outer_iterations"`
-	LookAheadSteps   int     `json:"lookahead_steps"`
-	LoCBSRuns        int     `json:"locbs_runs"`
-	CacheHits        int     `json:"cache_hits"`
-	CacheMisses      int     `json:"cache_misses"`
-	CacheHitRate     float64 `json:"cache_hit_rate"`
-	WindowRuns       int     `json:"window_runs"`
-	SpeculativeRuns  int     `json:"speculative_runs"`
-	SpeculativeWaste int     `json:"speculative_waste"`
+	OuterIterations int     `json:"outer_iterations"`
+	LookAheadSteps  int     `json:"lookahead_steps"`
+	LoCBSRuns       int     `json:"locbs_runs"`
+	CacheHits       int     `json:"cache_hits"`
+	CacheMisses     int     `json:"cache_misses"`
+	CacheHitRate    float64 `json:"cache_hit_rate"`
 	// Incremental-placement accounting: placement runs that resumed from a
 	// prefix checkpoint, task placements replayed from the checkpoint trace
 	// and traced steps rolled back at the divergence point.
@@ -83,35 +80,26 @@ type SearchSnapshot struct {
 	ReplayedTasks int     `json:"replayed_tasks"`
 	RollbackDepth int     `json:"rollback_depth"`
 	ReplayRate    float64 `json:"replay_rate"`
-	// Intra-run parallelism accounting: speculative window runs aborted by
-	// the partial lower bound (and the task placements those aborts
-	// skipped), plus the candidate-slot scans handed to the in-run probe
-	// pool and the slots they evaluated concurrently.
-	PrunedRuns   int `json:"pruned_runs"`
-	PrunedTasks  int `json:"pruned_tasks"`
+	// Intra-run parallelism accounting: the candidate-slot scans handed to
+	// the in-run probe pool and the slots they evaluated concurrently.
 	ProbeFanouts int `json:"probe_fanouts"`
 	ProbeSlots   int `json:"probe_slots"`
 }
 
 func snapshot(m locmps.RunMetrics) *SearchSnapshot {
 	return &SearchSnapshot{
-		OuterIterations:  m.OuterIterations,
-		LookAheadSteps:   m.LookAheadSteps,
-		LoCBSRuns:        m.LoCBSRuns,
-		CacheHits:        m.CacheHits,
-		CacheMisses:      m.CacheMisses,
-		CacheHitRate:     m.CacheHitRate(),
-		WindowRuns:       m.WindowRuns,
-		SpeculativeRuns:  m.SpeculativeRuns,
-		SpeculativeWaste: m.SpeculativeWaste,
-		ResumedRuns:      m.ResumedRuns,
-		ReplayedTasks:    m.ReplayedTasks,
-		RollbackDepth:    m.RollbackDepth,
-		ReplayRate:       m.ReplayRate(),
-		PrunedRuns:       m.PrunedRuns,
-		PrunedTasks:      m.PrunedTasks,
-		ProbeFanouts:     m.ProbeFanouts,
-		ProbeSlots:       m.ProbeSlots,
+		OuterIterations: m.OuterIterations,
+		LookAheadSteps:  m.LookAheadSteps,
+		LoCBSRuns:       m.LoCBSRuns,
+		CacheHits:       m.CacheHits,
+		CacheMisses:     m.CacheMisses,
+		CacheHitRate:    m.CacheHitRate(),
+		ResumedRuns:     m.ResumedRuns,
+		ReplayedTasks:   m.ReplayedTasks,
+		RollbackDepth:   m.RollbackDepth,
+		ReplayRate:      m.ReplayRate(),
+		ProbeFanouts:    m.ProbeFanouts,
+		ProbeSlots:      m.ProbeSlots,
 	}
 }
 
@@ -183,8 +171,8 @@ type Speedup struct {
 type benchCase struct {
 	name         string
 	tasks, procs int
-	// workers pins both intra-search pools via NewLoCMPSParallel; 0 keeps
-	// the NewLoCMPS default sizing (GOMAXPROCS).
+	// workers pins the probe pool via NewLoCMPSParallel; 0 keeps the
+	// NewLoCMPS default sizing (GOMAXPROCS).
 	workers int
 }
 
@@ -196,12 +184,11 @@ var cases = []benchCase{
 }
 
 // parallelGate ties the workers-pinned variant of the large case to its
-// serial twin: the -gate run checks the two schedules are bit-identical,
-// that the parallel run actually pruned speculative work, and — on hosts
-// with at least parallelGateMinCPUs cores — that the parallel variant meets
-// an absolute ns/op floor relative to the serial one. On smaller hosts the
-// floor is skipped (a probe pool cannot beat the serial scan without cores
-// to run on) but the determinism and pruning checks always apply.
+// serial twin: the -gate run checks the two schedules are bit-identical
+// and — on hosts with at least minCPUs cores — that the parallel variant
+// meets an absolute ns/op floor relative to the serial one. On smaller
+// hosts the floor is skipped (a probe pool cannot beat the serial scan
+// without cores to run on) but the determinism check always applies.
 var parallelGate = struct {
 	serial, parallel string
 	minSpeedup       float64
@@ -304,13 +291,13 @@ func measurePortfolio(pc portfolioCase) (PortfolioEntry, error) {
 
 func main() {
 	path := flag.String("o", "BENCH_locmps.json", "output file (baseline inside is preserved)")
-	rebase := flag.String("rebaseline", "", "comma-separated case names whose baseline is re-measured with the reference scheduler (memo/resume/speculation off)")
+	rebase := flag.String("rebaseline", "", "comma-separated case names whose baseline is re-measured with the reference scheduler (memo/resume/probe pool off)")
 	reps := flag.Int("reps", 3, "benchmark repetitions per case; the fastest is recorded")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the runs to this file")
 	gate := flag.Bool("gate", false, "regression gate: re-measure every case and fail if ns/op exceeds the committed current snapshot by more than -gate-threshold, or if any makespan changed; re-races the portfolio cases and fails if the winner or makespan drifts; also audits the committed BENCH_serve.json (current vs its baseline plus the absolute warm_overhead_x bound, no re-measurement); writes no file")
 	gateThreshold := flag.Float64("gate-threshold", 1.6, "allowed ns/op ratio over the committed snapshot before -gate fails")
-	ablate := flag.Bool("ablate", false, "ablation table: re-run every non-pinned case under serial / probe-only / window-no-pruning / window+pruning configurations, print per-config ns/op and search stats, and fail unless all four schedules are bit-identical; writes no file")
+	ablate := flag.Bool("ablate", false, "ablation table: re-run every non-pinned case under serial / probe-only configurations, print per-config ns/op and search stats, and fail unless both schedules are bit-identical; writes no file")
 	flag.Parse()
 	if *reps < 1 {
 		fmt.Fprintln(os.Stderr, "benchjson: -reps must be at least 1")
@@ -408,10 +395,9 @@ func gateRun(path string, reps int, threshold float64) error {
 }
 
 // gateParallel checks the freshly measured serial/parallel pair of the
-// large case: identical makespans (the probe pool and the pruning bound
-// must never change what is scheduled), at least one pruned speculative
-// run (the dominance bound must actually fire on this instance), and — on
-// hosts with enough cores — the parallel-vs-serial ns/op floor.
+// large case: identical makespans (the probe pool must never change what
+// is scheduled) and — on hosts with enough cores — the parallel-vs-serial
+// ns/op floor.
 func gateParallel(measured map[string]Result) []string {
 	serial, okS := measured[parallelGate.serial]
 	parallel, okP := measured[parallelGate.parallel]
@@ -420,12 +406,8 @@ func gateParallel(measured map[string]Result) []string {
 	}
 	var failures []string
 	if serial.Makespan != parallel.Makespan {
-		failures = append(failures, fmt.Sprintf("%s: makespan %.6g differs from serial %.6g — probe pool or pruning changed the schedule",
+		failures = append(failures, fmt.Sprintf("%s: makespan %.6g differs from serial %.6g — the probe pool changed the schedule",
 			parallelGate.parallel, parallel.Makespan, serial.Makespan))
-	}
-	if s := parallel.Search; s == nil || s.PrunedRuns == 0 {
-		failures = append(failures, fmt.Sprintf("%s: no speculative runs pruned — the dominance bound never fired",
-			parallelGate.parallel))
 	}
 	if runtime.NumCPU() >= parallelGate.minCPUs {
 		if speedup := serial.NsPerOp / parallel.NsPerOp; speedup < parallelGate.minSpeedup {
@@ -436,34 +418,30 @@ func gateParallel(measured map[string]Result) []string {
 				parallelGate.parallel, speedup, parallelGate.minSpeedup)
 		}
 	} else {
-		fmt.Printf("%-34s parallel floor skipped: %d CPUs < %d (determinism and pruning still gated)\n",
+		fmt.Printf("%-34s parallel floor skipped: %d CPUs < %d (determinism still gated)\n",
 			parallelGate.parallel, runtime.NumCPU(), parallelGate.minCPUs)
 	}
 	return failures
 }
 
-// ablateRun isolates what each intra-search mechanism contributes on the
-// non-pinned benchmark cases. Four configurations per case:
+// ablateRun isolates what the probe pool contributes on the non-pinned
+// benchmark cases. Two configurations per case:
 //
-//	serial          SpeculativeWorkers=1, ProbeWorkers=1 — window and probe pool off
-//	probe-only      SpeculativeWorkers=1, ProbeWorkers=4 — candidate scans fan out, no window
-//	window          SpeculativeWorkers=4, ProbeWorkers=4, pruning disabled
-//	window+pruning  SpeculativeWorkers=4, ProbeWorkers=4 — the NewLoCMPSParallel(4) default
+//	serial      ProbeWorkers=1 — candidate scans stay serial
+//	probe-only  ProbeWorkers=4 — candidate scans fan out (NewLoCMPSParallel(4))
 //
-// All four must produce bit-identical makespans (parallelism and pruning
-// are wall-clock-only mechanisms), so the run doubles as a determinism
-// sweep. Wall-clock deltas are only meaningful at GOMAXPROCS >= 4; the
-// search-stats columns (fanouts, pruned runs) are machine-independent and
-// show the mechanisms firing even on a serial host.
+// Both must produce bit-identical makespans (the pool is a wall-clock-only
+// mechanism), so the run doubles as a determinism sweep. Wall-clock deltas
+// are only meaningful at GOMAXPROCS >= 4; the search-stats columns
+// (fanouts, slots) are machine-independent and show the pool firing even
+// on a serial host.
 func ablateRun(reps int) error {
 	configs := []struct {
 		label string
 		mk    func() *core.LoCMPS
 	}{
 		{"serial", func() *core.LoCMPS { return core.NewParallel(1) }},
-		{"probe-only", func() *core.LoCMPS { lm := core.NewParallel(1); lm.ProbeWorkers = 4; return lm }},
-		{"window", func() *core.LoCMPS { lm := core.NewParallel(4); lm.DisablePruning = true; return lm }},
-		{"window+pruning", func() *core.LoCMPS { return core.NewParallel(4) }},
+		{"probe-only", func() *core.LoCMPS { return core.NewParallel(4) }},
 	}
 	fmt.Printf("ablation at GOMAXPROCS=%d (wall clock meaningful at >= 4; stats columns machine-independent)\n",
 		runtime.GOMAXPROCS(0))
@@ -513,9 +491,8 @@ func ablateRun(reps int) error {
 				failures = append(failures, fmt.Sprintf("%s/%s: makespan %.9g != serial %.9g",
 					cs.name, cfg.label, s.Makespan, serialMakespan))
 			}
-			fmt.Printf("%-32s %-15s %12d ns/op  makespan %.4f  locbs %d  window %d  pruned %d/%d  probe %d/%d\n",
-				cs.name, cfg.label, best.NsPerOp(), s.Makespan,
-				m.LoCBSRuns, m.WindowRuns, m.PrunedRuns, m.PrunedTasks, m.ProbeFanouts, m.ProbeSlots)
+			fmt.Printf("%-32s %-11s %12d ns/op  makespan %.4f  locbs %d  probe %d/%d\n",
+				cs.name, cfg.label, best.NsPerOp(), s.Makespan, m.LoCBSRuns, m.ProbeFanouts, m.ProbeSlots)
 		}
 	}
 	if len(failures) > 0 {
@@ -803,7 +780,7 @@ func profiled(cpuPath, memPath string, fn func() error) error {
 
 func run(path, rebase string, reps int) error {
 	out := File{
-		Note:     "Mid-scale LoC-MPS scheduler benchmarks (synthetic graphs, CCR=0.1, seed 7). Baseline is preserved across runs; delete this file to re-baseline, or re-measure single cases with -rebaseline (reference scheduler: memo/resume/speculation off). Each figure is the fastest of -reps repetitions.",
+		Note:     "Mid-scale LoC-MPS scheduler benchmarks (synthetic graphs, CCR=0.1, seed 7). Baseline is preserved across runs; delete this file to re-baseline, or re-measure single cases with -rebaseline (reference scheduler: memo/resume/probe pool off). Each figure is the fastest of -reps repetitions.",
 		CPUs:     runtime.NumCPU(),
 		Current:  map[string]Result{},
 		SpeedupX: map[string]Speedup{},
@@ -842,16 +819,14 @@ func run(path, rebase string, reps int) error {
 		fmt.Printf("%-34s %14.0f ns/op %12.0f B/op %10.0f allocs/op  makespan %.6g (%.3fx CPR)\n",
 			cs.name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.Makespan, r.RatioVsCPR)
 		if s := r.Search; s != nil {
-			fmt.Printf("%-34s %14d locbs %12d hits %10d misses  %.1f%% hit rate, window %d, spec %d/%d wasted\n",
-				"", s.LoCBSRuns, s.CacheHits, s.CacheMisses, 100*s.CacheHitRate,
-				s.WindowRuns, s.SpeculativeWaste, s.SpeculativeRuns)
+			fmt.Printf("%-34s %14d locbs %12d hits %10d misses  %.1f%% hit rate\n",
+				"", s.LoCBSRuns, s.CacheHits, s.CacheMisses, 100*s.CacheHitRate)
 			if s.ResumedRuns > 0 {
 				fmt.Printf("%-34s %14d resumed %10d replayed %8d rolled back  %.1f%% replay\n",
 					"", s.ResumedRuns, s.ReplayedTasks, s.RollbackDepth, 100*s.ReplayRate)
 			}
-			if s.PrunedRuns > 0 || s.ProbeFanouts > 0 {
-				fmt.Printf("%-34s %14d pruned  %10d tasks skipped %6d fanouts (%d slots)\n",
-					"", s.PrunedRuns, s.PrunedTasks, s.ProbeFanouts, s.ProbeSlots)
+			if s.ProbeFanouts > 0 {
+				fmt.Printf("%-34s %14d fanouts (%d slots)\n", "", s.ProbeFanouts, s.ProbeSlots)
 			}
 		}
 	}

@@ -132,9 +132,8 @@ func RunCase(c Case) *Failure {
 	if diff := DiffSchedules(tg, optimized, reference); diff != "" {
 		return &Failure{c, "differential", diff}
 	}
-	// The intra-search pools (concurrent window evaluation, in-run probe
-	// pool) and the dominance-pruning bound must also be invisible in the
-	// output, whatever the host's GOMAXPROCS.
+	// The in-run probe pool must also be invisible in the output, whatever
+	// the host's GOMAXPROCS.
 	parallel, err := core.NewParallel(4).Schedule(tg, cl)
 	if err != nil {
 		return &Failure{c, "run:parallel", err.Error()}

@@ -63,17 +63,17 @@ func auditClean(t *testing.T, tg *model.TaskGraph, res *core.AnytimeResult, labe
 }
 
 // TestAnytimeMaxIterationsDeterministic re-runs every iteration budget —
-// serially and with the concurrent window barrier forced on — and demands
-// bit-identical schedules. Under `go test -race` this also exercises the
-// barrier's memo insertion against truncated searches.
+// serially and with the probe pool forced on — and demands bit-identical
+// schedules. Under `go test -race` this also exercises the probe pool
+// against truncated searches.
 func TestAnytimeMaxIterationsDeterministic(t *testing.T) {
 	tg, cl := buildGraph(t, 11, 0.5), anytimeCluster()
 	ctx := context.Background()
-	for _, workers := range []int{-1, 4} {
+	for _, workers := range []int{1, 4} {
 		for _, iters := range []int{1, 2, 4, 0} {
 			alg := core.New()
 			alg.TopFraction = 0.5
-			alg.SpeculativeWorkers = workers
+			alg.ProbeWorkers = workers
 			b := core.Budget{MaxIterations: iters}
 			first, err := alg.ScheduleBudget(ctx, tg, cl, b)
 			if err != nil {
@@ -95,17 +95,16 @@ func TestAnytimeMaxIterationsDeterministic(t *testing.T) {
 }
 
 // TestAnytimeBudgetsAreSerialPrefixes pins the semantics that make
-// MaxIterations a useful knob: a budgeted schedule with the barrier on is
-// bit-identical to the serial budgeted schedule (truncation commutes with
-// concurrent window evaluation), and the unbounded budget is exactly
-// Schedule.
+// MaxIterations a useful knob: a budgeted schedule with the probe pool on
+// is bit-identical to the serial budgeted schedule (truncation commutes
+// with probe fan-out), and the unbounded budget is exactly Schedule.
 func TestAnytimeBudgetsAreSerialPrefixes(t *testing.T) {
 	tg, cl := buildGraph(t, 11, 0.5), anytimeCluster()
 	ctx := context.Background()
 	for _, iters := range []int{1, 3, 0} {
 		serial, spec := core.New(), core.New()
 		serial.TopFraction, spec.TopFraction = 0.5, 0.5
-		serial.SpeculativeWorkers, spec.SpeculativeWorkers = -1, 4
+		serial.ProbeWorkers, spec.ProbeWorkers = 1, 4
 		a, err := serial.ScheduleBudget(ctx, tg, cl, core.Budget{MaxIterations: iters})
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +113,7 @@ func TestAnytimeBudgetsAreSerialPrefixes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameSchedule(t, a.Schedule, b.Schedule, "serial vs barrier under budget")
+		sameSchedule(t, a.Schedule, b.Schedule, "serial vs probe pool under budget")
 	}
 	alg := core.New()
 	full, err := alg.Schedule(tg, cl)

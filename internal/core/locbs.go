@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -72,75 +71,7 @@ func LoCBS(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config) (*s
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return runPlacer(tg, cluster, np, cfg.withDefaults(), Preset{}, sc, 0, runOpts{})
-}
-
-// runOpts carries the per-run performance knobs of one placement run. Both
-// are bit-identity-preserving: probeWorkers only changes where candidate
-// probes execute, and pruneBound only aborts runs whose completed makespan
-// provably could not beat the bound — callers treat an aborted run as "not
-// evaluated", never as a result.
-type runOpts struct {
-	// probeWorkers >= 2 fans the surviving tail of each task's candidate
-	// slot scan out over the probe pool (probe.go); below 2 the scan stays
-	// serial. Ignored under AdaptiveWidth, whose width search interleaves
-	// np mutations with probing.
-	probeWorkers int
-	// pruneBound > 0 arms the partial lower bound of run: the run aborts
-	// with errPruned as soon as the bound proves the final makespan must
-	// exceed pruneBound. Ignored under AdaptiveWidth (the residual-bound
-	// sweep needs the final widths).
-	pruneBound float64
-}
-
-// errPruned aborts a placement run whose partial lower bound proved the
-// final makespan cannot beat the caller's pruneBound. It is a control-flow
-// sentinel, not a failure: the aborted run's scratch trace is left invalid
-// (exactly like an errored run) and the caller counts the run as skipped.
-var errPruned = errors.New("core: placement run pruned by lower bound")
-
-// placeStats reports how much of a placement run was served by the resume
-// path (tasks replayed from the trace prefix, steps rolled back off the
-// chart, whether any prefix was reused), plus what the probe pool and the
-// prune bound did with the run.
-type placeStats struct {
-	replayed   int
-	rolledBack int
-	resumed    bool
-	// pruned is the number of task placements an errPruned abort skipped
-	// (0 for completed runs).
-	pruned int
-	// probeFanouts counts candidate scans that engaged the probe pool;
-	// probeSlots accumulates the slots those fan-outs evaluated.
-	probeFanouts int
-	probeSlots   int
-}
-
-// runPlacerPooled is runPlacer with its own pool-drawn scratch, for callers
-// running placements concurrently with the main search — the speculative
-// candidate evaluation of LoC-MPS fans these out over the bounded worker
-// pool. Inputs must already be validated, exactly as for runPlacer. A
-// non-zero resumeKey lets the drawn scratch resume from a trace it recorded
-// earlier in the same search (pool recycling makes that the common case
-// once speculation has run a few batches).
-func runPlacerPooled(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config, preset Preset, resumeKey uint64, opts runOpts) (*schedule.Schedule, placeStats, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	s, err := runPlacer(tg, cluster, np, cfg, preset, sc, resumeKey, opts)
-	return s, sc.lastPlaceStats(), err
-}
-
-// lastPlaceStats snapshots the per-run counters the most recent runPlacer
-// call left on the scratch.
-func (sc *placerScratch) lastPlaceStats() placeStats {
-	return placeStats{
-		replayed:     sc.lastReplayed,
-		rolledBack:   sc.lastRolledBack,
-		resumed:      sc.lastResumed,
-		pruned:       sc.lastPruned,
-		probeFanouts: sc.lastProbeFanouts,
-		probeSlots:   sc.lastProbeSlots,
-	}
+	return runPlacer(tg, cluster, np, cfg.withDefaults(), Preset{}, sc, false, 1)
 }
 
 // runPlacer executes one pre-validated LoCBS run against pooled scratch:
@@ -148,25 +79,31 @@ func (sc *placerScratch) lastPlaceStats() placeStats {
 // its defaults. This is the entry point the LoC-MPS search loop hits
 // thousands of times per Schedule call.
 //
-// resumeKey selects the incremental mode. 0 runs from an empty chart and
-// records nothing. A non-zero key (one per LoC-MPS search, so the graph,
-// cluster, config and preset are fixed for every run sharing it) makes the
-// run record a placement trace, and — when the scratch's trace carries the
-// same key — resume from it: the placement prefix shared with the previous
-// run is replayed by copying its committed decisions (provably identical,
-// see run), the chart is rolled back to the first divergent step, and only
-// the suffix is searched. Schedules are bit-identical to a from-scratch run
-// either way.
-func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config, preset Preset, sc *placerScratch, resumeKey uint64, opts runOpts) (*schedule.Schedule, error) {
+// incremental selects the incremental mode; false runs from an empty chart
+// and records nothing. An incremental run records a placement trace and —
+// when the scratch holds a valid trace from an earlier run of the same
+// LoC-MPS search (prepareSearch resets it, so the graph, cluster, config
+// and preset are fixed for every run that can match) — resumes from it:
+// the placement prefix shared with the previous run is replayed by copying
+// its committed decisions (provably identical, see run), the chart is
+// rolled back to the first divergent step, and only the suffix is
+// searched. Schedules are bit-identical to a from-scratch run either way.
+//
+// probeWorkers >= 2 fans the surviving tail of each task's candidate slot
+// scan out over the probe pool (probe.go); below 2 the scan stays serial.
+// It is ignored under AdaptiveWidth, whose width search interleaves np
+// mutations with probing.
+func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config, preset Preset, sc *placerScratch, incremental bool, probeWorkers int) (*schedule.Schedule, error) {
 	tr := &sc.trace
-	record := resumeKey != 0 && !cfg.AdaptiveWidth
-	resume := record && tr.matches(resumeKey, tg, cluster, cfg)
+	record := incremental && !cfg.AdaptiveWidth
+	resume := record && tr.matches(tg, cluster, cfg)
 	sc.preparePlacer(tg.N(), cluster.P, cfg.Backfill, resume)
-	sc.lastReplayed, sc.lastRolledBack, sc.lastResumed = 0, 0, false
-	sc.lastPruned, sc.lastProbeFanouts, sc.lastProbeSlots = 0, 0, 0
+	sc.lastReplayed, sc.lastRolledBack = 0, 0
+	sc.lastProbeFanouts, sc.lastProbeSlots = 0, 0
 	// The trace is invalid while the run mutates the chart and the trace's
-	// own step records; a successful completion re-validates it below.
-	tr.key = 0
+	// own step records; a successful completion re-validates it below, so
+	// an errored run leaves it invalid.
+	tr.valid = false
 	e := &placer{
 		tg:      tg,
 		tb:      tg.Tables(cluster.P),
@@ -181,23 +118,20 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 		record:  record,
 	}
 	if !cfg.AdaptiveWidth {
-		e.probeWorkers = opts.probeWorkers
-		e.pruneBound = opts.pruneBound
+		e.probeWorkers = probeWorkers
 	}
 	if record {
-		e.shareEpoch = resumeKey
-	}
-	if record {
-		// Shares cached by earlier runs of the same search stay warm; a
-		// scratch recycled from another search starts cold.
-		sc.costBuf.SetShareEpoch(resumeKey)
+		// Shares cached by earlier runs of the same search stay warm; the
+		// scratch's next search starts cold.
+		e.shareToken = sc.shareToken
+		sc.costBuf.SetShareEpoch(sc.shareToken)
 	}
 	for t, pl := range preset.Fixed {
 		e.sched.Placements[t] = pl
 		sc.preset[t] = true
 		// Fixed tasks that are still running block their processors. On
-		// resume the chart still holds these reservations (the trace key
-		// pins the preset), so they must not be booked twice. Each span is
+		// resume the chart still holds these reservations (the trace is
+		// per-search, so it pins the preset), so they must not be booked twice. Each span is
 		// clipped to start at BusyUntil, whose busy reservation below
 		// already covers the earlier part: overlapping intervals would let
 		// the chart report a frontier in the past. A task that finished
@@ -243,12 +177,11 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 		return nil, err
 	}
 	if record {
-		tr.key = resumeKey
+		tr.valid = true
 		tr.tg, tr.cluster, tr.cfg = tg, cluster, cfg
 		tr.sched = e.sched
 		tr.np = append(tr.np[:0], np...)
 	}
-	sc.lastResumed = sc.lastReplayed > 0
 	return e.sched, nil
 }
 
@@ -293,18 +226,12 @@ type placer struct {
 	// this run's steps to the trace (both set by runPlacer).
 	resume, record bool
 
-	// probeWorkers/pruneBound are the run's performance knobs (runOpts),
-	// already gated on AdaptiveWidth; shareEpoch is the search's resume key
-	// (0 outside a recorded search), stamped onto arena cost buffers so
-	// their share caches stay warm within a search.
+	// probeWorkers is the run's probe-pool bound, already gated on
+	// AdaptiveWidth; shareToken is the scratch's search generation (0
+	// outside a recorded search), stamped onto arena cost buffers so their
+	// share caches stay warm within a search.
 	probeWorkers int
-	pruneBound   float64
-	shareEpoch   uint64
-	// rb/lbNow are the pruning state of a prune-bounded run: the
-	// zero-communication residual bottom levels and the running partial
-	// lower bound (see initBound). rb is nil when pruning is off.
-	rb    []float64
-	lbNow float64
+	shareToken   uint64
 }
 
 func intsEqual(a, b []int) bool {
@@ -378,14 +305,6 @@ func (e *placer) run() error {
 	tr := &e.sc.trace
 	step := 0
 	fast := e.resume
-
-	if e.pruneBound > 0 {
-		e.initBound()
-		if e.lbNow > e.pruneBound+schedule.Eps {
-			e.sc.lastPruned = remaining
-			return errPruned
-		}
-	}
 
 	for done := 0; done < remaining; done++ {
 		// Highest priority wins, ties broken by lower task id; the scan
@@ -464,14 +383,6 @@ func (e *placer) run() error {
 					ready = append(ready, se.Other)
 				}
 			}
-		}
-		// The bound check runs on replayed and searched steps alike, so a
-		// resumed run prunes at exactly the same placement step as a
-		// from-scratch run would (the committed decisions are identical).
-		if e.rb != nil && e.updateBound(tp) {
-			e.sc.lastPruned = remaining - done - 1
-			e.sc.readyBuf = ready[:0]
-			return errPruned
 		}
 	}
 	if fast && step < len(tr.order) {

@@ -2,28 +2,17 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"locmps/internal/graph"
 	"locmps/internal/model"
-	"locmps/internal/par"
 	"locmps/internal/schedule"
 )
-
-// searchEpoch hands every runSearch invocation a process-unique resume key.
-// The key ties placement traces (and redistribution share caches) in the
-// pool-recycled scratches to one search: within a search the graph, cluster,
-// config and preset are fixed, so a trace carrying the current key is safe
-// to resume from; a trace from any other search never matches. Key 0 is
-// reserved for non-incremental runs (standalone LoCBS, DisableResume).
-var searchEpoch atomic.Uint64
 
 // DefaultLookAheadDepth is the bounded look-ahead of §III.E ("a bound of 20
 // iterations was found to yield good results").
@@ -64,32 +53,12 @@ type LoCMPS struct {
 	// bit-identical either way; the switch exists for ablation, tests and
 	// the reference configuration benchmarks are baselined against.
 	DisableResume bool
-	// SpeculativeWorkers bounds the concurrent evaluation of the §III.C
-	// candidate window: every top-fraction candidate's vector (the
-	// eventual winner's included) is LoCBS-evaluated concurrently on the
-	// shared bounded pool, and only after that barrier is the
-	// minimum-concurrency-ratio winner chosen by the usual strict total
-	// order — which never consults the evaluations, so schedules are
-	// bit-identical to the serial search. 0 selects one worker per CPU;
-	// values below 2 (including a single-CPU default) disable the
-	// concurrent evaluation, which changes only where LoCBS runs execute,
-	// never what is scheduled.
-	SpeculativeWorkers int
 	// ProbeWorkers bounds the probe pool inside a single LoCBS run: the
 	// candidate-slot scan of each task placement fans its surviving tail
 	// out over this many workers and folds the results back in slot order
 	// (see probe.go), so schedules stay bit-identical to the serial scan.
 	// 0 selects one worker per CPU; values below 2 keep the scan serial.
-	// The pool accelerates the main path's placement runs — window runs
-	// already executing concurrently under SpeculativeWorkers probe
-	// serially, so the two pools never multiply into specWorkers ×
-	// probeWorkers goroutines.
 	ProbeWorkers int
-	// DisablePruning turns off the partial-lower-bound abort of
-	// speculative window runs. Schedules are bit-identical either way — a
-	// pruned run only costs a memo warm, never a decision — so the switch
-	// exists for ablation and tests.
-	DisablePruning bool
 
 	// mu guards stats, the only mutable state on the instance.
 	mu sync.Mutex
@@ -104,8 +73,7 @@ type SearchStats struct {
 	OuterIterations int
 	// LookAheadSteps counts inner look-ahead iterations across all rounds.
 	LookAheadSteps int
-	// LoCBSRuns counts placement-engine invocations (memo hits excluded,
-	// speculative runs included).
+	// LoCBSRuns counts placement-engine invocations (memo hits excluded).
 	LoCBSRuns int
 	// Commits counts rounds that improved the committed best schedule.
 	Commits int
@@ -116,18 +84,6 @@ type SearchStats struct {
 	CacheHits int
 	// CacheMisses counts search-path memo lookups that had to run LoCBS.
 	CacheMisses int
-	// WindowRuns counts placement runs executed concurrently at the
-	// §III.C window barrier, the eventual winner's included. Zero when
-	// concurrent window evaluation is off (fewer than two workers, memo
-	// disabled, or single-candidate windows).
-	WindowRuns int
-	// SpeculativeRuns counts the subset of WindowRuns evaluated for
-	// non-winning candidates — the legacy speculative warms, useful only
-	// if a later look-ahead enters through an alternate candidate.
-	SpeculativeRuns int
-	// SpeculativeWaste counts speculative runs never reused by a later
-	// memo hit.
-	SpeculativeWaste int
 	// ReplayedTasks counts task placements copied from a resumed run's
 	// trace prefix instead of being searched from the chart.
 	ReplayedTasks int
@@ -138,14 +94,6 @@ type SearchStats struct {
 	// traced placement steps rolled back off the chart at the first dirty
 	// position (the suffix each resume had to re-place).
 	RollbackDepth int
-	// PrunedRuns counts speculative window runs aborted by the partial
-	// lower bound: the incumbent's makespan proved the candidate could
-	// not beat it, so the run was abandoned mid-placement instead of
-	// completed as a memo warm. Pruned runs are not counted as LoCBSRuns
-	// or WindowRuns.
-	PrunedRuns int
-	// PrunedTasks accumulates the task placements those aborts skipped.
-	PrunedTasks int
 	// ProbeFanouts counts candidate-slot scans that engaged the probe pool
 	// (scans surviving the serial prefix when ProbeWorkers >= 2).
 	ProbeFanouts int
@@ -158,23 +106,18 @@ type SearchStats struct {
 // experiment drivers and command-line tools report.
 func (st SearchStats) Metrics() model.RunMetrics {
 	return model.RunMetrics{
-		OuterIterations:  st.OuterIterations,
-		LookAheadSteps:   st.LookAheadSteps,
-		LoCBSRuns:        st.LoCBSRuns,
-		Commits:          st.Commits,
-		Marks:            st.Marks,
-		CacheHits:        st.CacheHits,
-		CacheMisses:      st.CacheMisses,
-		WindowRuns:       st.WindowRuns,
-		SpeculativeRuns:  st.SpeculativeRuns,
-		SpeculativeWaste: st.SpeculativeWaste,
-		ReplayedTasks:    st.ReplayedTasks,
-		ResumedRuns:      st.ResumedRuns,
-		RollbackDepth:    st.RollbackDepth,
-		PrunedRuns:       st.PrunedRuns,
-		PrunedTasks:      st.PrunedTasks,
-		ProbeFanouts:     st.ProbeFanouts,
-		ProbeSlots:       st.ProbeSlots,
+		OuterIterations: st.OuterIterations,
+		LookAheadSteps:  st.LookAheadSteps,
+		LoCBSRuns:       st.LoCBSRuns,
+		Commits:         st.Commits,
+		Marks:           st.Marks,
+		CacheHits:       st.CacheHits,
+		CacheMisses:     st.CacheMisses,
+		ReplayedTasks:   st.ReplayedTasks,
+		ResumedRuns:     st.ResumedRuns,
+		RollbackDepth:   st.RollbackDepth,
+		ProbeFanouts:    st.ProbeFanouts,
+		ProbeSlots:      st.ProbeSlots,
 	}
 }
 
@@ -193,24 +136,10 @@ func (s *LoCMPS) LastRunMetrics() model.RunMetrics {
 	return s.LastStats().Metrics()
 }
 
-// speculativeWorkers resolves the effective worker bound: 0 means one per
-// CPU; anything below 2 disables speculation (there is no second worker to
-// hide a speculative run behind, so it would only add serial work).
-func (s *LoCMPS) speculativeWorkers() int {
-	w := s.SpeculativeWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 2 {
-		return 1
-	}
-	return w
-}
-
-// probeWorkers resolves the effective probe-pool bound the same way: 0
-// means one per CPU; below 2 the candidate scans stay serial (there is no
-// second worker to probe a slot concurrently, so a pool would only add
-// dispatch overhead).
+// probeWorkers resolves the effective probe-pool bound: 0 means one per
+// CPU; below 2 the candidate scans stay serial (there is no second worker
+// to probe a slot concurrently, so a pool would only add dispatch
+// overhead).
 func (s *LoCMPS) probeWorkers() int {
 	w := s.ProbeWorkers
 	if w == 0 {
@@ -254,9 +183,8 @@ func NewICASLB() *LoCMPS {
 	}
 }
 
-// NewParallel returns the paper configuration with both intra-search pools
-// pinned to the given worker count: concurrent §III.C window evaluation
-// (SpeculativeWorkers) and the in-run probe pool (ProbeWorkers). Both are
+// NewParallel returns the paper configuration with the in-run probe pool
+// (ProbeWorkers) pinned to the given worker count. The pool is
 // bit-identity-preserving, so this differs from New only in where the work
 // executes. workers = 0 keeps the GOMAXPROCS default; 1 forces fully serial
 // execution of an otherwise fully accelerated search.
@@ -264,28 +192,21 @@ func NewParallel(workers int) *LoCMPS {
 	if workers < 0 {
 		workers = 0
 	}
-	return &LoCMPS{
-		AlgorithmName:      "LoC-MPS",
-		Engine:             DefaultConfig(),
-		SpeculativeWorkers: workers,
-		ProbeWorkers:       workers,
-	}
+	return &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(), ProbeWorkers: workers}
 }
 
 // NewReference returns the paper configuration with every engine-level
-// acceleration (memo table, incremental resume, speculative evaluation)
-// switched off. Schedules are bit-identical to New's — the accelerations
-// never change results — so this is the baseline configuration performance
-// comparisons are measured against.
+// acceleration (memo table, incremental resume, probe pool) switched off.
+// Schedules are bit-identical to New's — the accelerations never change
+// results — so this is the baseline configuration performance comparisons
+// are measured against.
 func NewReference() *LoCMPS {
 	return &LoCMPS{
-		AlgorithmName:      "LoC-MPS",
-		Engine:             DefaultConfig(),
-		DisableMemo:        true,
-		DisableResume:      true,
-		SpeculativeWorkers: 1,
-		ProbeWorkers:       1,
-		DisablePruning:     true,
+		AlgorithmName: "LoC-MPS",
+		Engine:        DefaultConfig(),
+		DisableMemo:   true,
+		DisableResume: true,
+		ProbeWorkers:  1,
 	}
 }
 
@@ -343,15 +264,12 @@ type search struct {
 	sc      *placerScratch
 	stats   SearchStats
 	// memo caches every evaluated allocation vector (nil when disabled);
-	// specWorkers > 1 enables speculative window evaluation and
-	// probeWorkers > 1 the in-run probe pool of the main path.
+	// probeWorkers > 1 enables the in-run probe pool.
 	memo         *allocMemo
-	specWorkers  int
 	probeWorkers int
-	// resumeKey is this search's epoch for incremental placement (0 when
-	// resume is disabled): every runLoCBS under the same key may resume
-	// from the trace its scratch recorded for the previous run.
-	resumeKey uint64
+	// resume enables incremental placement: every runLoCBS may resume from
+	// the trace the search's scratch recorded for the previous run.
+	resume bool
 	// ctx aborts the search cooperatively (checked every round and
 	// look-ahead step); budget truncates it gracefully, setting truncated.
 	ctx       context.Context
@@ -401,8 +319,8 @@ func (s *LoCMPS) runSearchOn(ctx context.Context, sc *placerScratch, tg *model.T
 		preset:       preset,
 		tb:           tg.Tables(cluster.P),
 		sc:           sc,
-		specWorkers:  s.speculativeWorkers(),
 		probeWorkers: s.probeWorkers(),
+		resume:       !s.DisableResume,
 		ctx:          ctx,
 		budget:       budget,
 		pbest:        make([]int, n),
@@ -410,9 +328,6 @@ func (s *LoCMPS) runSearchOn(ctx context.Context, sc *placerScratch, tg *model.T
 	}
 	if !s.DisableMemo {
 		r.memo = newAllocMemo()
-	}
-	if !s.DisableResume {
-		r.resumeKey = searchEpoch.Add(1)
 	}
 	fixed := func(t int) bool { _, ok := preset.Fixed[t]; return ok }
 	for t := 0; t < n; t++ {
@@ -493,15 +408,11 @@ outerLoop:
 			applied := false
 			for attempt := 0; attempt < 2 && !applied; attempt++ {
 				if kindTask {
-					// §III.C: every top-fraction candidate's one-wider
-					// vector is evaluated concurrently; the winner is
-					// selected only after that barrier, by the strict
-					// total order that never consults the evaluations —
-					// so the runLoCBS below is a memo hit and the
-					// schedule is bit-identical to the serial search.
+					// §III.C: widen the minimum-concurrency-ratio task of
+					// the top-fraction candidate window.
 					window := r.candidateWindow(np, cp, iter == 0)
 					if len(window) > 0 {
-						t := r.evaluateWindow(np, window, bestSL.makespan)
+						t := r.selectWinner(window)
 						if iter == 0 {
 							entryTask, entryEdgeID = t, -1
 						}
@@ -559,9 +470,6 @@ outerLoop:
 		}
 	}
 
-	if r.memo != nil {
-		r.stats.SpeculativeWaste = r.memo.wasted()
-	}
 	bestSched.Algorithm = s.Name()
 	bestSched.SchedulingTime = time.Since(started)
 	return bestSched, r.stats, r.truncated, nil
@@ -607,119 +515,23 @@ func (r *search) runLoCBS(np []int) (*schedule.Schedule, error) {
 		r.stats.CacheMisses++
 	}
 	r.stats.LoCBSRuns++
-	// Main-path runs own the whole machine while they execute (window
-	// fan-outs have their own parallelism), so they get the probe pool.
-	sched, err := runPlacer(r.tg, r.cluster, np, r.cfg, r.preset, r.sc, r.resumeKey, runOpts{probeWorkers: r.probeWorkers})
-	if err == nil {
-		r.noteRun(r.sc.lastPlaceStats())
-		if r.memo != nil {
-			r.memo.insert(np, sched, false)
-		}
+	sched, err := runPlacer(r.tg, r.cluster, np, r.cfg, r.preset, r.sc, r.resume, r.probeWorkers)
+	if err != nil {
+		return nil, err
 	}
-	return sched, err
-}
-
-// noteRun folds one completed placement run's resume and probe accounting
-// into the stats.
-func (r *search) noteRun(ps placeStats) {
-	r.stats.ReplayedTasks += ps.replayed
-	r.stats.RollbackDepth += ps.rolledBack
-	if ps.resumed {
+	// Fold the run's resume and probe accounting into the stats.
+	sc := r.sc
+	r.stats.ReplayedTasks += sc.lastReplayed
+	r.stats.RollbackDepth += sc.lastRolledBack
+	if sc.lastReplayed > 0 {
 		r.stats.ResumedRuns++
 	}
-	r.stats.ProbeFanouts += ps.probeFanouts
-	r.stats.ProbeSlots += ps.probeSlots
-}
-
-// evaluateWindow resolves one §III.C widening step: when concurrent window
-// evaluation is enabled, every candidate's one-wider allocation vector gets
-// a full LoCBS run on the shared bounded worker pool, and only after that
-// barrier is the winner selected by selectWinner's strict total order. The
-// order never consults the evaluations, so schedules are bit-identical to
-// the serial search; the win is that the caller's immediate runLoCBS on the
-// winner — and any later look-ahead entering through an alternate candidate
-// — is a memo hit. Runs that error are simply not cached: the main path
-// re-runs the vector and surfaces the error deterministically.
-//
-// incumbent (the committed best schedule's makespan) arms dominance
-// pruning: the winner is a pure function of the window, so it is known
-// before the fan-out, and every non-winning candidate — whose completed
-// schedule would only ever serve as a memo warm — runs under the incumbent
-// as its prune bound. A run whose partial lower bound proves it cannot
-// beat the incumbent aborts mid-placement; losing that warm at worst costs
-// a fresh run if a later look-ahead enters through the candidate, it never
-// changes a schedule. The winner's run is consumed immediately by the main
-// path and therefore never pruned.
-//
-// Pooled window runs probe serially: the window fan-out already owns the
-// pool's parallelism, and nesting probe workers inside each pooled run
-// would oversubscribe the machine specWorkers × probeWorkers fold.
-func (r *search) evaluateWindow(np []int, window []taskCand, incumbent float64) int {
-	if r.memo == nil || r.specWorkers < 2 || len(window) < 2 {
-		return r.selectWinner(window)
+	r.stats.ProbeFanouts += sc.lastProbeFanouts
+	r.stats.ProbeSlots += sc.lastProbeSlots
+	if r.memo != nil {
+		r.memo.insert(np, sched)
 	}
-	winner := r.selectWinner(window)
-	bound := incumbent
-	if r.alg.DisablePruning {
-		bound = 0
-	}
-	// Snapshot the vectors to evaluate before touching np; skip the ones
-	// already cached so stats stay deterministic for a given machine shape.
-	vecs := make([][]int, 0, len(window))
-	tasks := make([]int, 0, len(window))
-	for _, c := range window {
-		vec := append(make([]int, 0, len(np)), np...)
-		vec[c.t]++
-		if !r.memo.contains(vec) {
-			vecs = append(vecs, vec)
-			tasks = append(tasks, c.t)
-		}
-	}
-	if len(vecs) == 0 {
-		return winner
-	}
-	scheds := make([]*schedule.Schedule, len(vecs))
-	resumes := make([]placeStats, len(vecs))
-	prunes := make([]bool, len(vecs))
-	_ = par.For(r.specWorkers, len(vecs), func(i int) error {
-		// Each worker's pool scratch carries the trace of its own previous
-		// window run, so window candidates — which share all but two width
-		// entries with each other — resume from long prefixes too.
-		opts := runOpts{}
-		if tasks[i] != winner {
-			opts.pruneBound = bound
-		}
-		s, ps, err := runPlacerPooled(r.tg, r.cluster, vecs[i], r.cfg, r.preset, r.resumeKey, opts)
-		switch {
-		case err == nil:
-			scheds[i], resumes[i] = s, ps
-		case errors.Is(err, errPruned):
-			resumes[i], prunes[i] = ps, true
-		}
-		return nil
-	})
-	// The barrier: every candidate evaluated, now fold in the accounting —
-	// barrier runs as WindowRuns, the non-winning subset additionally as
-	// the (speculative) warms they are, pruned runs only as prune counts
-	// (they completed nothing).
-	for i, s := range scheds {
-		if prunes[i] {
-			r.stats.PrunedRuns++
-			r.stats.PrunedTasks += resumes[i].pruned
-			continue
-		}
-		if s == nil {
-			continue
-		}
-		r.stats.LoCBSRuns++
-		r.stats.WindowRuns++
-		r.noteRun(resumes[i])
-		if tasks[i] != winner {
-			r.stats.SpeculativeRuns++
-		}
-		r.memo.insert(vecs[i], s, tasks[i] != winner)
-	}
-	return winner
+	return sched, nil
 }
 
 // criticalPath returns CP(G') for the current schedule, deriving G' into
@@ -776,9 +588,8 @@ func (r *search) pathCosts(cur *schedule.Schedule, np, cp []int) (tcomp, tcomm f
 // unsaturated (and, at the entry of a look-ahead, unmarked) critical-path
 // tasks, rank by execution-time improvement and return the top-fraction
 // window (which aliases scratch and is valid until the next call). The
-// window is empty when nothing on the critical path can be refined. Winner
-// selection is deliberately separate (selectWinner) so the caller can
-// evaluate every windowed vector concurrently first.
+// window is empty when nothing on the critical path can be refined;
+// selectWinner picks the task to widen from it.
 func (r *search) candidateWindow(np, cp []int, entry bool) []taskCand {
 	maxP := r.cluster.P
 	cands := r.sc.cands[:0]
@@ -814,9 +625,8 @@ func (r *search) candidateWindow(np, cp []int, entry bool) []taskCand {
 }
 
 // selectWinner applies §III.C's strict total order to a non-empty window:
-// the minimum-concurrency-ratio task, ties broken by task id. It is a pure
-// function of the window — never of any LoCBS evaluation — which is what
-// keeps concurrent window evaluation bit-identical to the serial search.
+// the minimum-concurrency-ratio task, ties broken by task id. The choice
+// never runs LoCBS: only the winner's widened vector is ever evaluated.
 func (r *search) selectWinner(window []taskCand) int {
 	best := window[0].t
 	for _, c := range window[1:] {

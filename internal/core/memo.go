@@ -36,8 +36,7 @@ func fnv1aVector(np []int) uint64 {
 }
 
 // memoEntry is one evaluated allocation vector: the (deterministic) LoCBS
-// result, the lazily derived critical path of that schedule, and the usage
-// accounting that feeds SearchStats.
+// result and the lazily derived critical path of that schedule.
 type memoEntry struct {
 	np    []int
 	sched *schedule.Schedule
@@ -45,10 +44,6 @@ type memoEntry struct {
 	// path are pure functions of the vector within one search, so both
 	// belong to the entry.
 	cp []int
-	// hits counts lookups answered by this entry; speculative entries with
-	// zero hits at the end of the search are wasted speculation.
-	hits        int
-	speculative bool
 }
 
 // allocMemo is the per-search allocation-vector memo table (§III.C/§III.E
@@ -60,8 +55,9 @@ type memoEntry struct {
 // The table is keyed by a FNV-1a fingerprint of the processor-count vector;
 // buckets chain entries and every probe does a full vector compare, so a
 // fingerprint collision costs a comparison, never a wrong schedule. All
-// methods are safe for concurrent use — speculative workers insert while
-// the search thread looks up.
+// methods take the table's lock, so they are safe for concurrent use; the
+// search goroutine that owns the table is its only user, so the lock is
+// uncontended.
 type allocMemo struct {
 	mu      sync.Mutex
 	buckets map[uint64][]*memoEntry
@@ -85,29 +81,21 @@ func (m *allocMemo) find(np []int) *memoEntry {
 	return nil
 }
 
-// lookupSched returns the cached schedule for np (counting the hit), or nil.
+// lookupSched returns the cached schedule for np, or nil.
 func (m *allocMemo) lookupSched(np []int) *schedule.Schedule {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e := m.find(np); e != nil {
-		e.hits++
 		return e.sched
 	}
 	return nil
 }
 
-// contains reports whether np is already cached, without counting a hit.
-func (m *allocMemo) contains(np []int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.find(np) != nil
-}
-
 // insert caches the schedule for np (copying the vector — callers reuse
 // their buffers). An existing entry wins: LoCBS is deterministic, so a
-// duplicate insert carries a bit-identical schedule and keeping the first
-// preserves its hit accounting.
-func (m *allocMemo) insert(np []int, s *schedule.Schedule, speculative bool) {
+// duplicate insert carries a bit-identical schedule, and keeping the first
+// keeps the critical path cached against it valid.
+func (m *allocMemo) insert(np []int, s *schedule.Schedule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.find(np) != nil || m.entries >= memoEntryLimit {
@@ -115,7 +103,7 @@ func (m *allocMemo) insert(np []int, s *schedule.Schedule, speculative bool) {
 	}
 	h := m.hash(np)
 	m.buckets[h] = append(m.buckets[h],
-		&memoEntry{np: append([]int(nil), np...), sched: s, speculative: speculative})
+		&memoEntry{np: append([]int(nil), np...), sched: s})
 	m.entries++
 }
 
@@ -139,20 +127,4 @@ func (m *allocMemo) storeCP(np []int, sched *schedule.Schedule, cp []int) {
 	if e := m.find(np); e != nil && e.sched == sched && e.cp == nil {
 		e.cp = append([]int(nil), cp...)
 	}
-}
-
-// wasted counts speculative entries that were never hit — the speculation
-// that bought nothing.
-func (m *allocMemo) wasted() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, bucket := range m.buckets {
-		for _, e := range bucket {
-			if e.speculative && e.hits == 0 {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -57,8 +57,8 @@ func TestAllocMemoCollisionPath(t *testing.T) {
 
 	s1, s2 := &schedule.Schedule{Makespan: 1}, &schedule.Schedule{Makespan: 2}
 	v1, v2 := []int{1, 2, 3}, []int{3, 2, 1}
-	m.insert(v1, s1, false)
-	m.insert(v2, s2, true)
+	m.insert(v1, s1)
+	m.insert(v2, s2)
 	if len(m.buckets) != 1 || len(m.buckets[42]) != 2 {
 		t.Fatalf("expected one bucket with two chained entries, got %d buckets", len(m.buckets))
 	}
@@ -71,21 +71,17 @@ func TestAllocMemoCollisionPath(t *testing.T) {
 	if got := m.lookupSched([]int{1, 2, 4}); got != nil {
 		t.Errorf("lookup of unseen vector returned %v under forced collisions", got)
 	}
-	// The colliding speculative entry was hit once above: not wasted.
-	if w := m.wasted(); w != 0 {
-		t.Errorf("wasted = %d after both entries were hit", w)
-	}
 }
 
 // TestAllocMemoInsertIsStable checks that a duplicate insert keeps the first
-// schedule (hit accounting must survive) and that the vector is copied, not
-// aliased.
+// schedule (a critical path cached against it must stay valid) and that the
+// vector is copied, not aliased.
 func TestAllocMemoInsertIsStable(t *testing.T) {
 	m := newAllocMemo()
 	s1, s2 := &schedule.Schedule{Makespan: 1}, &schedule.Schedule{Makespan: 2}
 	vec := []int{2, 2}
-	m.insert(vec, s1, false)
-	m.insert(vec, s2, false)
+	m.insert(vec, s1)
+	m.insert(vec, s2)
 	vec[0] = 9 // caller reuses its buffer
 	if got := m.lookupSched([]int{2, 2}); got != s1 {
 		t.Errorf("duplicate insert replaced the original entry (got %v)", got)
@@ -151,64 +147,95 @@ func TestMemoCacheHitDeterminism(t *testing.T) {
 	}
 }
 
-// TestSpeculationMatchesSerial widens the candidate window and checks that
-// speculative parallel evaluation changes neither the schedule nor the
-// search trajectory — only how the memo is filled.
+// TestSpeculationMatchesSerial widens the candidate window to 0.5 and
+// checks that the probe pool changes neither the schedule nor any search
+// counter other than its own, and that a repeat run reproduces every
+// counter — the resume counters included, since the search owns its trace.
 func TestSpeculationMatchesSerial(t *testing.T) {
 	tg, c := memoGraph(t), memoCluster()
 
 	serial := &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(),
-		TopFraction: 0.5, SpeculativeWorkers: -1}
-	spec := &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(),
-		TopFraction: 0.5, SpeculativeWorkers: 4}
+		TopFraction: 0.5, ProbeWorkers: 1}
+	probed := &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(),
+		TopFraction: 0.5, ProbeWorkers: 4}
 
 	sSerial, err := serial.Schedule(tg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sSpec, err := spec.Schedule(tg, c)
+	sProbed, err := probed.Schedule(tg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameSchedule(t, sSerial, sSpec, "speculative vs serial")
+	assertSameSchedule(t, sSerial, sProbed, "probe pool vs serial")
 
-	stSerial, stSpec := serial.LastStats(), spec.LastStats()
-	if stSpec.SpeculativeRuns == 0 {
-		t.Fatalf("window of 0.5 produced no speculative runs: %+v", stSpec)
+	stSerial, stProbed := serial.LastStats(), probed.LastStats()
+	withoutProbe := stProbed
+	withoutProbe.ProbeFanouts, withoutProbe.ProbeSlots = 0, 0
+	if !reflect.DeepEqual(stSerial, withoutProbe) {
+		t.Errorf("probe pool changed the search: serial %+v vs probed %+v", stSerial, stProbed)
 	}
-	if stSpec.SpeculativeWaste > stSpec.SpeculativeRuns {
-		t.Errorf("waste %d exceeds speculative runs %d", stSpec.SpeculativeWaste, stSpec.SpeculativeRuns)
-	}
-	// The search path (outer rounds, look-ahead steps, commits, marks) is
-	// untouched by speculation.
-	if stSerial.OuterIterations != stSpec.OuterIterations ||
-		stSerial.LookAheadSteps != stSpec.LookAheadSteps ||
-		stSerial.Commits != stSpec.Commits || stSerial.Marks != stSpec.Marks {
-		t.Errorf("speculation changed the trajectory: serial %+v vs speculative %+v", stSerial, stSpec)
-	}
-	// Speculation runs twice in a row stay deterministic — except the
-	// resume counters, which depend on which pool-recycled scratch (and so
-	// which recorded trace) each speculative worker happens to draw.
-	if _, err := spec.Schedule(tg, c); err != nil {
+	if _, err := probed.Schedule(tg, c); err != nil {
 		t.Fatal(err)
 	}
-	norm := func(s SearchStats) SearchStats {
-		s.ReplayedTasks, s.ResumedRuns, s.RollbackDepth = 0, 0, 0
-		return s
+	if !reflect.DeepEqual(stProbed, probed.LastStats()) {
+		t.Errorf("stats drifted across identical runs: %+v vs %+v", stProbed, probed.LastStats())
 	}
-	if !reflect.DeepEqual(norm(stSpec), norm(spec.LastStats())) {
-		t.Errorf("speculative stats drifted: %+v vs %+v", stSpec, spec.LastStats())
+}
+
+// TestConcurrentSearchStatsDeterministic runs several searches at once,
+// each on its own pool-drawn scratch, with a window wide enough to hold
+// several candidates. Every search owns its resume trace, so every one must
+// report exactly the stats of a sequential run — resume counters included.
+func TestConcurrentSearchStatsDeterministic(t *testing.T) {
+	tg, c := memoGraph(t), memoCluster()
+	newAlg := func() *LoCMPS {
+		alg := New()
+		alg.TopFraction = 0.5
+		return alg
+	}
+	ref := newAlg()
+	if _, err := ref.Schedule(tg, c); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.LastStats()
+	if want.ResumedRuns == 0 {
+		t.Fatalf("reference search never resumed; the test would pass vacuously: %+v", want)
+	}
+
+	const searches = 8
+	got := make([]SearchStats, searches)
+	errs := make([]error, searches)
+	var wg sync.WaitGroup
+	for i := 0; i < searches; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			alg := newAlg()
+			if _, errs[i] = alg.Schedule(tg, c); errs[i] == nil {
+				got[i] = alg.LastStats()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("search %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("search %d stats %+v, sequential run %+v", i, got[i], want)
+		}
 	}
 }
 
 // TestScheduleDualConcurrentSpeculation drives ScheduleDual — itself two
-// concurrent searches — from several goroutines with speculation forced on,
-// so `go test -race` exercises memo insertion from the speculative worker
-// pool while the search thread reads it.
+// concurrent searches — from several goroutines with the probe pool forced
+// on, so `go test -race` exercises concurrent searches whose placement runs
+// each fan out their own probe workers.
 func TestScheduleDualConcurrentSpeculation(t *testing.T) {
 	tg, c := memoGraph(t), memoCluster()
 	alg := &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(),
-		TopFraction: 0.5, SpeculativeWorkers: 4}
+		TopFraction: 0.5, ProbeWorkers: 4}
 
 	want, err := alg.ScheduleDual(tg, c)
 	if err != nil {

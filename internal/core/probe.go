@@ -89,7 +89,7 @@ type probeArena struct {
 
 // begin prepares the arena for one (task, width) scan: cursors reset to
 // unprobed, ct memo cleared, cost buffer sized for the cluster and stamped
-// with the search's share epoch, cache levels wired — the arena's private
+// with the search's share token, cache levels wired — the arena's private
 // L1 in front of the serial scan's cache and the shared L2 snapshot.
 func (a *probeArena) begin(e *placer) {
 	p := e.cluster.P
@@ -100,11 +100,11 @@ func (a *probeArena) begin(e *placer) {
 		a.costBuf = redist.NewCostBuffer(p)
 		a.costP = p
 	}
-	if e.shareEpoch != 0 {
+	if e.shareToken != 0 {
 		// Share-cache entries are content-keyed (never wrong), so skipping
-		// the epoch stamp outside recorded searches just lets warm entries
-		// linger instead of dropping them every scan.
-		a.costBuf.SetShareEpoch(e.shareEpoch)
+		// the stamp outside recorded searches just lets warm entries linger
+		// instead of dropping them every scan.
+		a.costBuf.SetShareEpoch(e.shareToken)
 	}
 	a.pc.costBuf = a.costBuf
 	a.pc.costs = &a.costs

@@ -37,7 +37,7 @@ func TestProbeParallelPlacementBitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
 		sc := getScratch()
-		par, err := runPlacer(tg, cluster, np, cfg, Preset{}, sc, 0, runOpts{probeWorkers: 4})
+		par, err := runPlacer(tg, cluster, np, cfg, Preset{}, sc, false, 4)
 		if err != nil {
 			putScratch(sc)
 			t.Fatalf("seed %d: probe-parallel: %v", seed, err)
@@ -86,7 +86,7 @@ func TestProbeParallelWithPresetBitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: serial preset: %v", seed, err)
 		}
 		sc := getScratch()
-		par, err := runPlacer(tg, cluster, np, cfg, preset, sc, 0, runOpts{probeWorkers: 4})
+		par, err := runPlacer(tg, cluster, np, cfg, preset, sc, false, 4)
 		putScratch(sc)
 		if err != nil {
 			t.Fatalf("seed %d: probe-parallel preset: %v", seed, err)
@@ -97,7 +97,7 @@ func TestProbeParallelWithPresetBitIdentical(t *testing.T) {
 
 // TestProbeParallelResumeBitIdentical threads the probe pool through the
 // incremental-resume path: perturbed allocation vectors re-run through one
-// shared scratch with a resume key, exactly as the look-ahead does, and
+// shared scratch in incremental mode, exactly as the look-ahead does, and
 // every probe-parallel run must match the from-scratch serial schedule.
 func TestProbeParallelResumeBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
@@ -105,17 +105,17 @@ func TestProbeParallelResumeBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	sc := getScratch()
 	defer putScratch(sc)
-	key := searchEpoch.Add(1)
+	sc.prepareSearch(tg.N(), tg.M())
 	resumed := false
 	for round := 0; round < 20; round++ {
 		for k := 0; k < 1+r.Intn(2); k++ {
 			np[r.Intn(len(np))] = 1 + r.Intn(cluster.P)
 		}
-		inc, err := runPlacer(tg, cluster, np, cfg, Preset{}, sc, key, runOpts{probeWorkers: 4})
+		inc, err := runPlacer(tg, cluster, np, cfg, Preset{}, sc, true, 4)
 		if err != nil {
 			t.Fatalf("round %d: incremental probe-parallel: %v", round, err)
 		}
-		resumed = resumed || sc.lastResumed
+		resumed = resumed || sc.lastReplayed > 0
 		fresh, err := LoCBS(tg, cluster, np, cfg)
 		if err != nil {
 			t.Fatalf("round %d: scratch: %v", round, err)

@@ -131,7 +131,7 @@ func TestChartRollbackMatchesReplayProperty(t *testing.T) {
 }
 
 // TestIncrementalPlacerMatchesScratch re-runs the placement engine through
-// one shared scratch with a resume key, perturbing the allocation vector a
+// one shared scratch in incremental mode, perturbing the allocation vector a
 // little between runs — the exact access pattern of the LoC-MPS look-ahead —
 // and checks every schedule is bit-identical to a from-scratch LoCBS run.
 func TestIncrementalPlacerMatchesScratch(t *testing.T) {
@@ -146,7 +146,7 @@ func TestIncrementalPlacerMatchesScratch(t *testing.T) {
 		}
 		sc := getScratch()
 		defer putScratch(sc)
-		key := searchEpoch.Add(1)
+		sc.prepareSearch(n, tg.M())
 		resumed := false
 		for round := 0; round < 25; round++ {
 			// Perturb a couple of widths, as the look-ahead does.
@@ -154,11 +154,11 @@ func TestIncrementalPlacerMatchesScratch(t *testing.T) {
 				ti := r.Intn(n)
 				np[ti] = 1 + r.Intn(cluster.P)
 			}
-			inc, err := runPlacer(tg, cluster, np, cfg, Preset{}, sc, key, runOpts{})
+			inc, err := runPlacer(tg, cluster, np, cfg, Preset{}, sc, true, 1)
 			if err != nil {
 				t.Fatalf("round %d: incremental: %v", round, err)
 			}
-			resumed = resumed || sc.lastResumed
+			resumed = resumed || sc.lastReplayed > 0
 			fresh, err := LoCBS(tg, cluster, np, cfg)
 			if err != nil {
 				t.Fatalf("round %d: scratch: %v", round, err)

@@ -47,13 +47,9 @@ type placerScratch struct {
 	arenas   []probeArena
 	tauBuf   []float64
 	probeRes []probeResult
-	// rbBuf holds the zero-comm residual bottom levels of a prune-bounded
-	// run (the rb sweep of placer.residualBounds).
-	rbBuf []float64
-	// lastPruned/lastProbeFanouts/lastProbeSlots report what the most
-	// recent runPlacer call did with pruning and the probe pool; the search
-	// layer folds them into SearchStats alongside the resume counters.
-	lastPruned       int
+	// lastProbeFanouts/lastProbeSlots report what the most recent runPlacer
+	// call did with the probe pool; the search layer folds them into
+	// SearchStats alongside the resume counters.
 	lastProbeFanouts int
 	lastProbeSlots   int
 	// Per-task preference-order cache: prefScores/prefOrder hold one row
@@ -87,14 +83,19 @@ type placerScratch struct {
 
 	// trace checkpoints the most recent recorded placement run against this
 	// scratch's live chart, enabling the next run to resume from the longest
-	// shared placement prefix instead of replaying it (see locbs.go).
+	// shared placement prefix instead of replaying it (see locbs.go). It is
+	// per-search state: prepareSearch invalidates it, so only runs of the
+	// search that recorded it can resume from it.
 	trace placementTrace
-	// lastReplayed/lastRolledBack/lastResumed report what the most recent
-	// runPlacer call did with the trace; the search layer folds them into
-	// SearchStats.
+	// lastReplayed/lastRolledBack report what the most recent runPlacer
+	// call did with the trace (a run resumed iff it replayed a task); the
+	// search layer folds them into SearchStats.
 	lastReplayed   int
 	lastRolledBack int
-	lastResumed    bool
+	// shareToken counts the searches run on this scratch. Recorded runs
+	// stamp it onto their redistribution cost buffers, so share caches stay
+	// warm across the runs of one search and start cold in the next.
+	shareToken uint64
 
 	// LoC-MPS search scratch.
 	gp         *schedule.DAGBuilder
@@ -112,13 +113,14 @@ type placerScratch struct {
 // shared priority-order prefix by copying them out of sched, then roll the
 // chart back to the first divergent step and place the suffix normally.
 //
-// key ties the trace to one LoC-MPS search (allocated from searchEpoch):
-// within a search the task graph, cluster, config and preset are fixed, so
-// a matching key plus the explicit tg/cluster/cfg checks below guarantee
-// the traced prefix is bit-identical to what a fresh run would compute.
-// key 0 means invalid; runs that error or are not recorded leave it 0.
+// valid marks a trace recorded by a completed run of the current search
+// (prepareSearch clears it): within a search the task graph, cluster,
+// config and preset are fixed, so a valid trace plus the explicit
+// tg/cluster/cfg checks below guarantee the traced prefix is bit-identical
+// to what a fresh run would compute. Runs that error or are not recorded
+// leave it false.
 type placementTrace struct {
-	key     uint64
+	valid   bool
 	tg      *model.TaskGraph
 	cluster model.Cluster
 	cfg     Config
@@ -137,9 +139,9 @@ type placementTrace struct {
 }
 
 // matches reports whether the trace can seed a resumed run for the given
-// search key and inputs.
-func (tr *placementTrace) matches(key uint64, tg *model.TaskGraph, cluster model.Cluster, cfg Config) bool {
-	return tr.key == key && tr.key != 0 && tr.sched != nil &&
+// inputs.
+func (tr *placementTrace) matches(tg *model.TaskGraph, cluster model.Cluster, cfg Config) bool {
+	return tr.valid && tr.sched != nil &&
 		tr.tg == tg && tr.cluster == cluster && tr.cfg == cfg
 }
 
@@ -154,7 +156,7 @@ func (tr *placementTrace) truncate(step int) {
 // restart clears the per-step records for a fresh recording whose chart
 // undo log starts at mark.
 func (tr *placementTrace) restart(mark int) {
-	tr.key = 0
+	tr.valid = false
 	tr.sched = nil
 	tr.order = tr.order[:0]
 	tr.undoMark = append(tr.undoMark[:0], int32(mark))
@@ -197,9 +199,13 @@ func (sc *placerScratch) preparePlacer(n, p int, backfill, resume bool) {
 	}
 }
 
-// prepareSearch additionally sizes and clears the LoC-MPS mark sets for n
-// tasks and m graph edges.
+// prepareSearch starts a LoC-MPS search on the scratch: it invalidates the
+// previous search's placement trace, moves the share caches to a new
+// generation, and sizes and clears the mark sets for n tasks and m graph
+// edges.
 func (sc *placerScratch) prepareSearch(n, m int) {
+	sc.trace.valid = false
+	sc.shareToken++
 	sc.markedTask = clearBools(sc.markedTask, n)
 	sc.markedEdge = clearBools(sc.markedEdge, m)
 	sc.np = growInts(sc.np, n)

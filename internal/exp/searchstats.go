@@ -12,9 +12,9 @@ import (
 // schedule quality: for every machine size it reports, averaged over the
 // suite's graphs, how much work the §III.C/§III.E look-ahead performed
 // (placement-engine runs, look-ahead steps) and how much of it the
-// allocation-vector memo absorbed (cache-hit percentage, speculative runs
-// and wasted speculation), plus the incremental-placement accounting
-// (resumed runs, replayed tasks, rollback depth and the replay rate). It is
+// allocation-vector memo absorbed (cache-hit percentage), plus the
+// incremental-placement accounting (resumed runs, replayed tasks, rollback
+// depth and the replay rate) and the probe pool's fan-outs. It is
 // the experiment-level view of the numbers cmd/benchjson records per
 // benchmark case.
 func SearchStatsFigure(opt SuiteOptions) (Figure, error) {
@@ -27,7 +27,7 @@ func SearchStatsFigure(opt SuiteOptions) (Figure, error) {
 	}
 
 	fig := Figure{
-		ID: "stats", Title: "LoC-MPS search-layer statistics (memo + speculation)",
+		ID: "stats", Title: "LoC-MPS search-layer statistics (memo + resume)",
 		XLabel: "procs", YLabel: "mean per scheduler run",
 	}
 	nP, nG := len(opt.Procs), len(graphs)
@@ -54,15 +54,10 @@ func SearchStatsFigure(opt SuiteOptions) (Figure, error) {
 		{"locbs-runs", func(m model.RunMetrics) float64 { return float64(m.LoCBSRuns) }},
 		{"lookahead-steps", func(m model.RunMetrics) float64 { return float64(m.LookAheadSteps) }},
 		{"cache-hit-%", func(m model.RunMetrics) float64 { return 100 * m.CacheHitRate() }},
-		{"window-runs", func(m model.RunMetrics) float64 { return float64(m.WindowRuns) }},
-		{"spec-runs", func(m model.RunMetrics) float64 { return float64(m.SpeculativeRuns) }},
-		{"spec-waste", func(m model.RunMetrics) float64 { return float64(m.SpeculativeWaste) }},
 		{"resumed-runs", func(m model.RunMetrics) float64 { return float64(m.ResumedRuns) }},
 		{"replayed-tasks", func(m model.RunMetrics) float64 { return float64(m.ReplayedTasks) }},
 		{"rollback-depth", func(m model.RunMetrics) float64 { return float64(m.RollbackDepth) }},
 		{"replay-%", func(m model.RunMetrics) float64 { return 100 * m.ReplayRate() }},
-		{"pruned-runs", func(m model.RunMetrics) float64 { return float64(m.PrunedRuns) }},
-		{"pruned-tasks", func(m model.RunMetrics) float64 { return float64(m.PrunedTasks) }},
 		{"probe-fanouts", func(m model.RunMetrics) float64 { return float64(m.ProbeFanouts) }},
 		{"probe-slots", func(m model.RunMetrics) float64 { return float64(m.ProbeSlots) }},
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -14,7 +15,9 @@ import (
 // time (2), run time (4), allocated processors (5), requested processors
 // (8) and requested time (9); requested values fall back to the
 // allocated/actual ones when absent (-1). Jobs that never ran (runtime or
-// width <= 0) are skipped, as is conventional when replaying traces.
+// width <= 0) are skipped, as is conventional when replaying traces. A
+// non-finite field (NaN, ±Inf) or a processor count outside int range is
+// an error that names the line.
 //
 // maxProcs caps job widths (traces sometimes exceed the simulated
 // machine); pass 0 to keep all widths.
@@ -38,10 +41,17 @@ func ReadSWF(r io.Reader, maxProcs int) ([]Job, error) {
 		}
 		get := func(i int) (float64, error) {
 			v, err := strconv.ParseFloat(f[i-1], 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 				return 0, fmt.Errorf("jobsched: swf line %d field %d: %q", lineNo, i, f[i-1])
 			}
 			return v, nil
+		}
+		getProcs := func(i int) (float64, error) {
+			v, err := get(i)
+			if err == nil && (v >= float64(math.MaxInt) || v < float64(math.MinInt)) {
+				err = fmt.Errorf("jobsched: swf line %d field %d: processor count %q outside int range", lineNo, i, f[i-1])
+			}
+			return v, err
 		}
 		submit, err := get(2)
 		if err != nil {
@@ -51,11 +61,11 @@ func ReadSWF(r io.Reader, maxProcs int) ([]Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		alloc, err := get(5)
+		alloc, err := getProcs(5)
 		if err != nil {
 			return nil, err
 		}
-		req, err := get(8)
+		req, err := getProcs(8)
 		if err != nil {
 			return nil, err
 		}

@@ -62,6 +62,33 @@ func TestReadSWFErrors(t *testing.T) {
 	}
 }
 
+// TestReadSWFRejectsNonFinite is the regression test for fields that
+// strconv.ParseFloat accepts but no job can carry: NaN and infinite times
+// (NaN slips past every <= 0 check) and processor counts no int can hold.
+// Each must fail with an error naming the line, not load as a job.
+func TestReadSWFRejectsNonFinite(t *testing.T) {
+	const ok = "1 0 0 10 4 -1 -1 4 20\n"
+	cases := []string{
+		"2 NaN 0 10 4 -1 -1 4 20\n",   // NaN submit time
+		"2 0 0 +Inf 4 -1 -1 4 20\n",   // infinite runtime
+		"2 0 0 10 4 -1 -1 4 Inf\n",    // infinite estimate
+		"2 0 0 10 4 -1 -1 4 nan\n",    // NaN estimate
+		"2 0 0 10 4 -1 -1 1e300 20\n", // requested procs beyond int
+		"2 0 0 10 1e19 -1 -1 -1 20\n", // allocated procs beyond int
+		"2 0 0 10 4 -1 -1 -1e300 20\n",
+	}
+	for i, c := range cases {
+		jobs, err := ReadSWF(strings.NewReader(ok+c), 0)
+		if err == nil {
+			t.Errorf("case %d %q accepted as %+v", i, c, jobs)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("case %d: error %q does not name line 2", i, err)
+		}
+	}
+}
+
 func TestReadSWFSimulatable(t *testing.T) {
 	jobs, err := ReadSWF(strings.NewReader(sampleSWF), 64)
 	if err != nil {

@@ -29,11 +29,11 @@ func TestRunMetricsString(t *testing.T) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
 	}
-	if strings.Contains(s, "spec=") {
-		t.Errorf("String() = %q reports speculation with none recorded", s)
+	if strings.Contains(s, "resume=") || strings.Contains(s, "probe=") {
+		t.Errorf("String() = %q reports resume or probe work with none recorded", s)
 	}
-	m.SpeculativeRuns, m.SpeculativeWaste = 4, 1
-	if s := m.String(); !strings.Contains(s, "spec=4 (25.0% wasted)") {
-		t.Errorf("String() = %q, missing speculation report", s)
+	m.ResumedRuns, m.ReplayedTasks, m.RollbackDepth = 4, 30, 10
+	if s := m.String(); !strings.Contains(s, "resume=4 replayed=30 rollback=10 (75.0% replay)") {
+		t.Errorf("String() = %q, missing resume report", s)
 	}
 }

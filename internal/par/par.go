@@ -1,6 +1,6 @@
 // Package par provides the bounded, deterministic worker pool shared by the
-// experiment drivers (internal/exp) and the speculative candidate evaluation
-// of the LoC-MPS search (internal/core). It lives below both so neither has
+// experiment drivers (internal/exp) and the candidate-probe pool of the
+// LoC-MPS placement engine (internal/core). It lives below both so neither has
 // to depend on the other.
 package par
 

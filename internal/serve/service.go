@@ -59,9 +59,8 @@ type Config struct {
 	// and populated after every successful cacheable run. Warm state in an
 	// L2 survives process restarts; a nil L2 disables the tier.
 	L2 SecondLevel
-	// SearchWorkers sizes the intra-search parallelism of each cold
-	// LoC-MPS run: the concurrent §III.C window evaluation and the in-run
-	// candidate-probe pool, both bit-identity-preserving. The default
+	// SearchWorkers sizes the in-run candidate-probe pool of each cold
+	// LoC-MPS run, which is bit-identity-preserving. The default
 	// divides GOMAXPROCS by the number of request-level workers
 	// (Shards x WorkersPerShard, minimum 1), so the service never
 	// oversubscribes: when request concurrency already fills the machine
@@ -546,7 +545,6 @@ func (s *Service) runWinner(cw *core.Worker, jb *job, winner string) (*schedule.
 	}
 	// Winner runs are cold searches like any other: give them the same
 	// intra-search parallelism budget the single-engine path gets.
-	lm.SpeculativeWorkers = s.cfg.SearchWorkers
 	lm.ProbeWorkers = s.cfg.SearchWorkers
 	skey, kerr := jb.req.StateKey()
 	if kerr == nil {
@@ -699,7 +697,7 @@ func (r *stateRegistry) put(k Key, st *core.SharedState) {
 }
 
 // buildScheduler materializes the scheduler for normalized options.
-// searchWorkers pins the intra-search pools of LoC-MPS-family schedulers
+// searchWorkers pins the probe pool of LoC-MPS-family schedulers
 // (Config.SearchWorkers — the oversubscription budget).
 func buildScheduler(o Options, searchWorkers int) (schedule.Engine, error) {
 	alg, err := sched.ByName(o.Algorithm)
@@ -710,7 +708,6 @@ func buildScheduler(o Options, searchWorkers int) (schedule.Engine, error) {
 		lm.LookAheadDepth = o.LookAheadDepth
 		lm.TopFraction = o.TopFraction
 		lm.Engine.BlockBytes = o.BlockBytes
-		lm.SpeculativeWorkers = searchWorkers
 		lm.ProbeWorkers = searchWorkers
 	}
 	return alg, nil

@@ -110,7 +110,7 @@ func NewTable(times []float64) (Table, error) { return speedup.NewTable(times) }
 
 // RunMetrics is a per-run snapshot of the LoC-MPS search layer's work:
 // look-ahead iterations, placement-engine invocations, allocation-vector
-// memo hits/misses and speculative-evaluation accounting.
+// memo hits/misses, incremental-resume and probe-pool accounting.
 type RunMetrics = model.RunMetrics
 
 // SearchMetrics returns the most recent Schedule call's RunMetrics for
@@ -128,19 +128,17 @@ func SearchMetrics(s Scheduler) (m RunMetrics, ok bool) {
 // look-ahead.
 func NewLoCMPS() Scheduler { return core.New() }
 
-// NewLoCMPSParallel returns the paper's algorithm with both intra-search
-// parallelism levels pinned to the given worker count: the §III.C candidate
-// window evaluates concurrently on up to workers goroutines, and main-path
-// placement runs fan their candidate-slot scans out over a probe pool of
-// the same size. Schedules are bit-identical to NewLoCMPS — only where the
-// work executes changes, never what is scheduled. workers = 0 sizes both
-// pools to GOMAXPROCS (the NewLoCMPS default); 1 forces fully serial
-// execution.
+// NewLoCMPSParallel returns the paper's algorithm with its probe pool
+// pinned to the given worker count: every placement run fans its
+// candidate-slot scans out over up to workers goroutines. Schedules are
+// bit-identical to NewLoCMPS — only where the work executes changes, never
+// what is scheduled. workers = 0 sizes the pool to GOMAXPROCS (the
+// NewLoCMPS default); 1 forces fully serial execution.
 func NewLoCMPSParallel(workers int) Scheduler { return core.NewParallel(workers) }
 
 // NewLoCMPSReference returns LoC-MPS with every cross-run acceleration
 // switched off: no allocation-vector memo, no incremental placement resume
-// and no speculative candidate evaluation. It computes bit-identical
+// and no probe pool. It computes bit-identical
 // schedules to NewLoCMPS by the direct (re-run everything) route, so it
 // serves as the correctness oracle in differential tests and as the
 // measurement baseline when cmd/benchjson re-baselines a case.
