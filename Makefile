@@ -5,15 +5,24 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-core bench-smoke bench-gate bench-json bench-save bench-diff profile golden stress fuzz-smoke loadgen loadgen-smoke serve-smoke portfolio-smoke stream-smoke streamgen
+.PHONY: check build vet e2ebench-test test race race-core bench-smoke bench-gate bench-json bench-save bench-diff profile golden stress fuzz-smoke loadgen loadgen-smoke serve-smoke portfolio-smoke stream-smoke streamgen
 
-check: build vet race bench-smoke loadgen-smoke portfolio-smoke serve-smoke stream-smoke
+check: build vet e2ebench-test race bench-smoke loadgen-smoke portfolio-smoke serve-smoke stream-smoke
 
 build:
 	$(GO) build ./...
 
+# vet also fails when any tracked Go file is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
+
+# The e2ebench module (e2ebench/go.mod, `replace locmps => ../`) is not
+# part of `./...` at the root, so build, vet and test it on its own: it is
+# what keeps the deprecated shims it compiles against honest.
+e2ebench-test:
+	cd e2ebench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 test:
 	$(GO) test ./...
@@ -21,13 +30,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The concurrency-heavy packages (in-run probe pool, concurrent searches
-# on pooled scratches, shared cross-request state, anytime cancellation)
-# re-run fresh under the race detector at GOMAXPROCS 1, 2 and 4: serial
-# (pools degenerate), a 2-core host's width, and wide (fan-outs real), with
-# the golden determinism fixture checked at each width — parallelism must be
-# invisible in the output. The whole suite then runs fresh at width 2,
-# where every test must pass as it does at any other width.
+# The concurrency-heavy packages (concurrent searches on pooled scratches,
+# shared cross-request state, anytime cancellation) re-run fresh under the
+# race detector at GOMAXPROCS 1, 2 and 4: serial, a 2-core host's width,
+# and wide, with the golden determinism fixture checked at each width —
+# concurrency must be invisible in the output. The whole suite then runs
+# fresh at width 2, where every test must pass as it does at any other
+# width.
 race-core:
 	for gmp in 1 2 4; do \
 		echo "=== GOMAXPROCS=$$gmp ==="; \
@@ -116,8 +125,8 @@ bench-diff:
 	benchstat $(OLD) $(NEW)
 
 # CPU and heap profiles of the mid-scale scheduler benchmarks plus the
-# 100-task cold case that drives the probe-pool work (DESIGN.md
-# §13), for `go tool pprof profiles/locmps.test profiles/cpu.pprof`.
+# 100-task cold case (DESIGN.md §13), for
+# `go tool pprof profiles/locmps.test profiles/cpu.pprof`.
 # PROFILE_BENCH narrows the capture to one case, e.g.
 # `make profile PROFILE_BENCH='BenchmarkLoCMPS100Tasks128Procs$$'`.
 PROFILE_BENCH ?= BenchmarkLoCMPS(30Tasks16Procs|50Tasks64Procs|100Tasks128Procs)$$
@@ -140,8 +149,8 @@ stress:
 	$(GO) run ./cmd/stress -n $(N) -seed $(SEED)
 
 # Short fuzz passes over each fuzz target: the graph/format parsers, the
-# audit oracle, the SWF trace reader and the HTTP schedule POST path. ~42s
-# total.
+# audit oracle, the SWF trace reader, the HTTP schedule POST path and the
+# disk L2 reader. ~49s total.
 FUZZTIME ?= 7s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME) ./internal/model
@@ -150,3 +159,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAudit -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzReadSWF -fuzztime $(FUZZTIME) ./internal/jobsched
 	$(GO) test -run '^$$' -fuzz FuzzScheduleBody -fuzztime $(FUZZTIME) ./internal/serve/httpserve
+	$(GO) test -run '^$$' -fuzz FuzzDiskCacheGet -fuzztime $(FUZZTIME) ./internal/serve

@@ -174,23 +174,6 @@ func BenchmarkLoCMPS100Tasks128Procs(b *testing.B) {
 	}
 }
 
-// BenchmarkLoCMPS100Tasks128ProcsWorkers4 runs the same cold search with
-// the barrier-window pool and the in-run candidate-probe pool both pinned
-// to four workers. Schedules are bit-identical to the serial run; only
-// wall clock may differ, so comparing against the serial benchmark above
-// isolates the intra-search parallel speedup (meaningful at GOMAXPROCS>=4).
-func BenchmarkLoCMPS100Tasks128ProcsWorkers4(b *testing.B) {
-	tg := synthGraph(b, 100, 0.1)
-	c := locmps.Cluster{P: 128, Bandwidth: 12.5e6, Overlap: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := locmps.NewLoCMPSParallel(4).Schedule(tg, c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCPR30Tasks16Procs for comparison with the cheaper baselines.
 func BenchmarkCPR30Tasks16Procs(b *testing.B) {
 	tg := synthGraph(b, 30, 0.1)

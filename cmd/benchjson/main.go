@@ -4,14 +4,14 @@
 // makespan ratio against the CPR baseline (a quality check: speedups must
 // not change what is scheduled) and a search_stats snapshot of the LoC-MPS
 // search layer (look-ahead steps, engine runs, allocation-memo hit rate,
-// resume and probe-pool accounting).
+// and resume accounting).
 //
 // The file keeps two snapshots: "baseline" (written once, preserved on
 // every rerun) and "current" (refreshed each run), plus the derived
 // speedups. Delete the file to re-baseline everything, or pass
 // -rebaseline with a comma-separated list of case names to re-measure just
-// those baselines using the reference scheduler (NewLoCMPSReference: memo,
-// resume and probe pool disabled), so the recorded speedup compares the
+// those baselines using the reference scheduler (NewLoCMPSReference: memo
+// and resume disabled), so the recorded speedup compares the
 // optimized engine against the same engine with its accelerations off.
 //
 // A case whose baseline and current entries are byte-identical carries no
@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"locmps"
-	"locmps/internal/core"
 )
 
 // Result is one benchmark snapshot.
@@ -80,10 +79,6 @@ type SearchSnapshot struct {
 	ReplayedTasks int     `json:"replayed_tasks"`
 	RollbackDepth int     `json:"rollback_depth"`
 	ReplayRate    float64 `json:"replay_rate"`
-	// Intra-run parallelism accounting: the candidate-slot scans handed to
-	// the in-run probe pool and the slots they evaluated concurrently.
-	ProbeFanouts int `json:"probe_fanouts"`
-	ProbeSlots   int `json:"probe_slots"`
 }
 
 func snapshot(m locmps.RunMetrics) *SearchSnapshot {
@@ -98,8 +93,6 @@ func snapshot(m locmps.RunMetrics) *SearchSnapshot {
 		ReplayedTasks:   m.ReplayedTasks,
 		RollbackDepth:   m.RollbackDepth,
 		ReplayRate:      m.ReplayRate(),
-		ProbeFanouts:    m.ProbeFanouts,
-		ProbeSlots:      m.ProbeSlots,
 	}
 }
 
@@ -107,9 +100,8 @@ func snapshot(m locmps.RunMetrics) *SearchSnapshot {
 type File struct {
 	Note string `json:"note,omitempty"`
 	// CPUs is the logical core count of the host that recorded the current
-	// snapshot. The workers-pinned parallel variant only shows real speedup
-	// when measured with at least that many cores, so readers (and the
-	// gate) need to know what the figures were taken on.
+	// snapshot. ns/op figures are only comparable between hosts of similar
+	// speed, so readers (and the gate) need to know what they were taken on.
 	CPUs     int                `json:"cpus,omitempty"`
 	Baseline map[string]Result  `json:"baseline"`
 	Current  map[string]Result  `json:"current"`
@@ -171,33 +163,12 @@ type Speedup struct {
 type benchCase struct {
 	name         string
 	tasks, procs int
-	// workers pins the probe pool via NewLoCMPSParallel; 0 keeps the
-	// NewLoCMPS default sizing (GOMAXPROCS).
-	workers int
 }
 
 var cases = []benchCase{
 	{name: "BenchmarkLoCMPS30Tasks16Procs", tasks: 30, procs: 16},
 	{name: "BenchmarkLoCMPS50Tasks64Procs", tasks: 50, procs: 64},
 	{name: "BenchmarkLoCMPS100Tasks128Procs", tasks: 100, procs: 128},
-	{name: "BenchmarkLoCMPS100Tasks128ProcsWorkers4", tasks: 100, procs: 128, workers: 4},
-}
-
-// parallelGate ties the workers-pinned variant of the large case to its
-// serial twin: the -gate run checks the two schedules are bit-identical
-// and — on hosts with at least minCPUs cores — that the parallel variant
-// meets an absolute ns/op floor relative to the serial one. On smaller
-// hosts the floor is skipped (a probe pool cannot beat the serial scan
-// without cores to run on) but the determinism check always applies.
-var parallelGate = struct {
-	serial, parallel string
-	minSpeedup       float64
-	minCPUs          int
-}{
-	serial:     "BenchmarkLoCMPS100Tasks128Procs",
-	parallel:   "BenchmarkLoCMPS100Tasks128ProcsWorkers4",
-	minSpeedup: 1.5,
-	minCPUs:    4,
 }
 
 // portfolioCases are the stress-shaped instances the engine portfolio is
@@ -291,24 +262,20 @@ func measurePortfolio(pc portfolioCase) (PortfolioEntry, error) {
 
 func main() {
 	path := flag.String("o", "BENCH_locmps.json", "output file (baseline inside is preserved)")
-	rebase := flag.String("rebaseline", "", "comma-separated case names whose baseline is re-measured with the reference scheduler (memo/resume/probe pool off)")
+	rebase := flag.String("rebaseline", "", "comma-separated case names whose baseline is re-measured with the reference scheduler (memo/resume off)")
 	reps := flag.Int("reps", 3, "benchmark repetitions per case; the fastest is recorded")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the runs to this file")
 	gate := flag.Bool("gate", false, "regression gate: re-measure every case and fail if ns/op exceeds the committed current snapshot by more than -gate-threshold, or if any makespan changed; re-races the portfolio cases and fails if the winner or makespan drifts; also audits the committed BENCH_serve.json (current vs its baseline plus the absolute warm_overhead_x bound, no re-measurement); writes no file")
 	gateThreshold := flag.Float64("gate-threshold", 1.6, "allowed ns/op ratio over the committed snapshot before -gate fails")
-	ablate := flag.Bool("ablate", false, "ablation table: re-run every non-pinned case under serial / probe-only configurations, print per-config ns/op and search stats, and fail unless both schedules are bit-identical; writes no file")
 	flag.Parse()
 	if *reps < 1 {
 		fmt.Fprintln(os.Stderr, "benchjson: -reps must be at least 1")
 		os.Exit(1)
 	}
 	work := func() error { return run(*path, *rebase, *reps) }
-	switch {
-	case *gate:
+	if *gate {
 		work = func() error { return gateRun(*path, *reps, *gateThreshold) }
-	case *ablate:
-		work = func() error { return ablateRun(*reps) }
 	}
 	if err := profiled(*cpuprofile, *memprofile, work); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -329,7 +296,6 @@ func gateRun(path string, reps int, threshold float64) error {
 		return fmt.Errorf("-gate: no committed snapshot in %s to gate against", path)
 	}
 	var failures []string
-	measured := map[string]Result{}
 	for _, cs := range cases {
 		committed, ok := prev.Current[cs.name]
 		if !ok {
@@ -340,7 +306,6 @@ func gateRun(path string, reps int, threshold float64) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", cs.name, err)
 		}
-		measured[cs.name] = r
 		ratio := r.NsPerOp / committed.NsPerOp
 		status := "ok"
 		if r.Makespan != committed.Makespan {
@@ -354,7 +319,6 @@ func gateRun(path string, reps int, threshold float64) error {
 		}
 		fmt.Printf("%-34s %14.0f ns/op  %5.2fx committed  %s\n", cs.name, r.NsPerOp, ratio, status)
 	}
-	failures = append(failures, gateParallel(measured)...)
 	// Portfolio cases re-race (deterministic: no deadline) and must
 	// reproduce the committed entry exactly — makespans and winner — and
 	// respect the selection invariant (portfolio == per-engine minimum,
@@ -391,113 +355,6 @@ func gateRun(path string, reps int, threshold float64) error {
 		return fmt.Errorf("gate failed:\n  %s", strings.Join(failures, "\n  "))
 	}
 	fmt.Println("bench gate passed")
-	return nil
-}
-
-// gateParallel checks the freshly measured serial/parallel pair of the
-// large case: identical makespans (the probe pool must never change what
-// is scheduled) and — on hosts with enough cores — the parallel-vs-serial
-// ns/op floor.
-func gateParallel(measured map[string]Result) []string {
-	serial, okS := measured[parallelGate.serial]
-	parallel, okP := measured[parallelGate.parallel]
-	if !okS || !okP {
-		return nil // one of the pair was not in the committed snapshot
-	}
-	var failures []string
-	if serial.Makespan != parallel.Makespan {
-		failures = append(failures, fmt.Sprintf("%s: makespan %.6g differs from serial %.6g — the probe pool changed the schedule",
-			parallelGate.parallel, parallel.Makespan, serial.Makespan))
-	}
-	if runtime.NumCPU() >= parallelGate.minCPUs {
-		if speedup := serial.NsPerOp / parallel.NsPerOp; speedup < parallelGate.minSpeedup {
-			failures = append(failures, fmt.Sprintf("%s: %.2fx vs serial is below the %.1fx floor on a %d-CPU host",
-				parallelGate.parallel, speedup, parallelGate.minSpeedup, runtime.NumCPU()))
-		} else {
-			fmt.Printf("%-34s parallel floor ok: %.2fx vs serial (floor %.1fx)\n",
-				parallelGate.parallel, speedup, parallelGate.minSpeedup)
-		}
-	} else {
-		fmt.Printf("%-34s parallel floor skipped: %d CPUs < %d (determinism still gated)\n",
-			parallelGate.parallel, runtime.NumCPU(), parallelGate.minCPUs)
-	}
-	return failures
-}
-
-// ablateRun isolates what the probe pool contributes on the non-pinned
-// benchmark cases. Two configurations per case:
-//
-//	serial      ProbeWorkers=1 — candidate scans stay serial
-//	probe-only  ProbeWorkers=4 — candidate scans fan out (NewLoCMPSParallel(4))
-//
-// Both must produce bit-identical makespans (the pool is a wall-clock-only
-// mechanism), so the run doubles as a determinism sweep. Wall-clock deltas
-// are only meaningful at GOMAXPROCS >= 4; the search-stats columns
-// (fanouts, slots) are machine-independent and show the pool firing even
-// on a serial host.
-func ablateRun(reps int) error {
-	configs := []struct {
-		label string
-		mk    func() *core.LoCMPS
-	}{
-		{"serial", func() *core.LoCMPS { return core.NewParallel(1) }},
-		{"probe-only", func() *core.LoCMPS { return core.NewParallel(4) }},
-	}
-	fmt.Printf("ablation at GOMAXPROCS=%d (wall clock meaningful at >= 4; stats columns machine-independent)\n",
-		runtime.GOMAXPROCS(0))
-	var failures []string
-	for _, cs := range cases {
-		if cs.workers > 0 {
-			continue // the pinned variant is already one of the configs below
-		}
-		p := locmps.DefaultSynthParams()
-		p.Tasks = cs.tasks
-		p.CCR = 0.1
-		p.Seed = 7
-		tg, err := locmps.Synthetic(p)
-		if err != nil {
-			return err
-		}
-		c := locmps.Cluster{P: cs.procs, Bandwidth: 12.5e6, Overlap: true}
-		var serialMakespan float64
-		for ci, cfg := range configs {
-			alg := cfg.mk()
-			s, err := alg.Schedule(tg, c)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", cs.name, cfg.label, err)
-			}
-			m, _ := locmps.SearchMetrics(alg)
-			var best testing.BenchmarkResult
-			for rep := 0; rep < reps; rep++ {
-				var benchErr error
-				r := testing.Benchmark(func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := cfg.mk().Schedule(tg, c); err != nil {
-							benchErr = err
-							b.FailNow()
-						}
-					}
-				})
-				if benchErr != nil {
-					return benchErr
-				}
-				if rep == 0 || r.NsPerOp() < best.NsPerOp() {
-					best = r
-				}
-			}
-			if ci == 0 {
-				serialMakespan = s.Makespan
-			} else if s.Makespan != serialMakespan {
-				failures = append(failures, fmt.Sprintf("%s/%s: makespan %.9g != serial %.9g",
-					cs.name, cfg.label, s.Makespan, serialMakespan))
-			}
-			fmt.Printf("%-32s %-11s %12d ns/op  makespan %.4f  locbs %d  probe %d/%d\n",
-				cs.name, cfg.label, best.NsPerOp(), s.Makespan, m.LoCBSRuns, m.ProbeFanouts, m.ProbeSlots)
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("ablation determinism failures:\n  %s", strings.Join(failures, "\n  "))
-	}
 	return nil
 }
 
@@ -780,7 +637,7 @@ func profiled(cpuPath, memPath string, fn func() error) error {
 
 func run(path, rebase string, reps int) error {
 	out := File{
-		Note:     "Mid-scale LoC-MPS scheduler benchmarks (synthetic graphs, CCR=0.1, seed 7). Baseline is preserved across runs; delete this file to re-baseline, or re-measure single cases with -rebaseline (reference scheduler: memo/resume/probe pool off). Each figure is the fastest of -reps repetitions.",
+		Note:     "Mid-scale LoC-MPS scheduler benchmarks (synthetic graphs, CCR=0.1, seed 7). Baseline is preserved across runs; delete this file to re-baseline, or re-measure single cases with -rebaseline (reference scheduler: memo/resume off). Each figure is the fastest of -reps repetitions.",
 		CPUs:     runtime.NumCPU(),
 		Current:  map[string]Result{},
 		SpeedupX: map[string]Speedup{},
@@ -824,9 +681,6 @@ func run(path, rebase string, reps int) error {
 			if s.ResumedRuns > 0 {
 				fmt.Printf("%-34s %14d resumed %10d replayed %8d rolled back  %.1f%% replay\n",
 					"", s.ResumedRuns, s.ReplayedTasks, s.RollbackDepth, 100*s.ReplayRate)
-			}
-			if s.ProbeFanouts > 0 {
-				fmt.Printf("%-34s %14d fanouts (%d slots)\n", "", s.ProbeFanouts, s.ProbeSlots)
 			}
 		}
 	}
@@ -1024,11 +878,8 @@ func measure(cs benchCase, reps int, reference bool) (Result, error) {
 	}
 	c := locmps.Cluster{P: cs.procs, Bandwidth: 12.5e6, Overlap: true}
 	newAlg := locmps.NewLoCMPS
-	switch {
-	case reference:
+	if reference {
 		newAlg = locmps.NewLoCMPSReference
-	case cs.workers > 0:
-		newAlg = func() locmps.Scheduler { return locmps.NewLoCMPSParallel(cs.workers) }
 	}
 
 	alg := newAlg()

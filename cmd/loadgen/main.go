@@ -63,11 +63,6 @@ import (
 type Result struct {
 	Workers  int `json:"workers,omitempty"`
 	Distinct int `json:"distinct_requests,omitempty"`
-	// SearchWorkers is the per-cold-run intra-search parallelism the
-	// service resolved for this case (GOMAXPROCS divided across the
-	// request-level workers, minimum 1 — the no-oversubscription policy).
-	// Cold throughput figures are only comparable at equal values.
-	SearchWorkers int `json:"search_workers,omitempty"`
 	// Cold phase: every request is a cold scheduler run.
 	ColdSchedPerSec float64 `json:"cold_schedules_per_sec,omitempty"`
 	ColdP50Ns       float64 `json:"cold_p50_ns,omitempty"`
@@ -580,7 +575,6 @@ func throughputCase(workers int, cfg config) (Result, error) {
 	return Result{
 		Workers:         workers,
 		Distinct:        cfg.distinct,
-		SearchWorkers:   st.SearchWorkers,
 		ColdSchedPerSec: float64(len(reqs)) / coldWall.Seconds(),
 		ColdP50Ns:       float64(quantile(coldLats, 50)),
 		ColdP99Ns:       float64(quantile(coldLats, 99)),

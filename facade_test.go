@@ -77,10 +77,9 @@ func TestFacadeTopologiesAndApps(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelSchedulerBitIdentical: the workers-pinned constructor
-// must expose its search metrics and reproduce the default scheduler's
-// schedule bit for bit — the pools and the pruning bound never change what
-// is scheduled.
+// TestFacadeParallelSchedulerBitIdentical: the deprecated workers-pinned
+// constructor ignores its argument, so it must expose its search metrics
+// and reproduce the default scheduler's schedule bit for bit.
 func TestFacadeParallelSchedulerBitIdentical(t *testing.T) {
 	p := locmps.DefaultSynthParams()
 	p.Tasks = 20
@@ -100,7 +99,7 @@ func TestFacadeParallelSchedulerBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.Makespan != base.Makespan {
-		t.Errorf("parallel makespan %v != serial %v", s.Makespan, base.Makespan)
+		t.Errorf("NewLoCMPSParallel makespan %v != NewLoCMPS %v", s.Makespan, base.Makespan)
 	}
 	for i := range s.Placements {
 		if s.Placements[i].Start != base.Placements[i].Start {
@@ -108,7 +107,7 @@ func TestFacadeParallelSchedulerBitIdentical(t *testing.T) {
 		}
 	}
 	if _, ok := locmps.SearchMetrics(alg); !ok {
-		t.Error("parallel scheduler does not expose search metrics")
+		t.Error("NewLoCMPSParallel does not expose search metrics")
 	}
 }
 

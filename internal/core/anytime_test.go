@@ -62,59 +62,37 @@ func auditClean(t *testing.T, tg *model.TaskGraph, res *core.AnytimeResult, labe
 	}
 }
 
-// TestAnytimeMaxIterationsDeterministic re-runs every iteration budget —
-// serially and with the probe pool forced on — and demands bit-identical
-// schedules. Under `go test -race` this also exercises the probe pool
-// against truncated searches.
+// TestAnytimeMaxIterationsDeterministic re-runs every iteration budget and
+// demands bit-identical, audit-clean schedules.
 func TestAnytimeMaxIterationsDeterministic(t *testing.T) {
 	tg, cl := buildGraph(t, 11, 0.5), anytimeCluster()
 	ctx := context.Background()
-	for _, workers := range []int{1, 4} {
-		for _, iters := range []int{1, 2, 4, 0} {
-			alg := core.New()
-			alg.TopFraction = 0.5
-			alg.ProbeWorkers = workers
-			b := core.Budget{MaxIterations: iters}
-			first, err := alg.ScheduleBudget(ctx, tg, cl, b)
-			if err != nil {
-				t.Fatalf("workers=%d iters=%d: %v", workers, iters, err)
-			}
-			second, err := alg.ScheduleBudget(ctx, tg, cl, b)
-			if err != nil {
-				t.Fatalf("workers=%d iters=%d (repeat): %v", workers, iters, err)
-			}
-			label := "budget repeat"
-			sameSchedule(t, first.Schedule, second.Schedule, label)
-			if first.Truncated != second.Truncated {
-				t.Errorf("workers=%d iters=%d: truncated drifted %v vs %v",
-					workers, iters, first.Truncated, second.Truncated)
-			}
-			auditClean(t, tg, first, label)
+	for _, iters := range []int{1, 2, 4, 0} {
+		alg := core.New()
+		alg.TopFraction = 0.5
+		b := core.Budget{MaxIterations: iters}
+		first, err := alg.ScheduleBudget(ctx, tg, cl, b)
+		if err != nil {
+			t.Fatalf("iters=%d: %v", iters, err)
 		}
+		second, err := alg.ScheduleBudget(ctx, tg, cl, b)
+		if err != nil {
+			t.Fatalf("iters=%d (repeat): %v", iters, err)
+		}
+		label := "budget repeat"
+		sameSchedule(t, first.Schedule, second.Schedule, label)
+		if first.Truncated != second.Truncated {
+			t.Errorf("iters=%d: truncated drifted %v vs %v", iters, first.Truncated, second.Truncated)
+		}
+		auditClean(t, tg, first, label)
 	}
 }
 
 // TestAnytimeBudgetsAreSerialPrefixes pins the semantics that make
-// MaxIterations a useful knob: a budgeted schedule with the probe pool on
-// is bit-identical to the serial budgeted schedule (truncation commutes
-// with probe fan-out), and the unbounded budget is exactly Schedule.
+// MaxIterations a useful knob: the unbounded budget is exactly Schedule.
 func TestAnytimeBudgetsAreSerialPrefixes(t *testing.T) {
 	tg, cl := buildGraph(t, 11, 0.5), anytimeCluster()
 	ctx := context.Background()
-	for _, iters := range []int{1, 3, 0} {
-		serial, spec := core.New(), core.New()
-		serial.TopFraction, spec.TopFraction = 0.5, 0.5
-		serial.ProbeWorkers, spec.ProbeWorkers = 1, 4
-		a, err := serial.ScheduleBudget(ctx, tg, cl, core.Budget{MaxIterations: iters})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := spec.ScheduleBudget(ctx, tg, cl, core.Budget{MaxIterations: iters})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSchedule(t, a.Schedule, b.Schedule, "serial vs probe pool under budget")
-	}
 	alg := core.New()
 	full, err := alg.Schedule(tg, cl)
 	if err != nil {

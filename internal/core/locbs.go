@@ -71,7 +71,7 @@ func LoCBS(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config) (*s
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return runPlacer(tg, cluster, np, cfg.withDefaults(), Preset{}, sc, false, 1)
+	return runPlacer(tg, cluster, np, cfg.withDefaults(), Preset{}, sc, false)
 }
 
 // runPlacer executes one pre-validated LoCBS run against pooled scratch:
@@ -88,18 +88,12 @@ func LoCBS(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config) (*s
 // its committed decisions (provably identical, see run), the chart is
 // rolled back to the first divergent step, and only the suffix is
 // searched. Schedules are bit-identical to a from-scratch run either way.
-//
-// probeWorkers >= 2 fans the surviving tail of each task's candidate slot
-// scan out over the probe pool (probe.go); below 2 the scan stays serial.
-// It is ignored under AdaptiveWidth, whose width search interleaves np
-// mutations with probing.
-func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config, preset Preset, sc *placerScratch, incremental bool, probeWorkers int) (*schedule.Schedule, error) {
+func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config, preset Preset, sc *placerScratch, incremental bool) (*schedule.Schedule, error) {
 	tr := &sc.trace
 	record := incremental && !cfg.AdaptiveWidth
 	resume := record && tr.matches(tg, cluster, cfg)
 	sc.preparePlacer(tg.N(), cluster.P, cfg.Backfill, resume)
 	sc.lastReplayed, sc.lastRolledBack = 0, 0
-	sc.lastProbeFanouts, sc.lastProbeSlots = 0, 0
 	// The trace is invalid while the run mutates the chart and the trace's
 	// own step records; a successful completion re-validates it below, so
 	// an errored run leaves it invalid.
@@ -117,13 +111,9 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 		resume:  resume,
 		record:  record,
 	}
-	if !cfg.AdaptiveWidth {
-		e.probeWorkers = probeWorkers
-	}
 	if record {
 		// Shares cached by earlier runs of the same search stay warm; the
 		// scratch's next search starts cold.
-		e.shareToken = sc.shareToken
 		sc.costBuf.SetShareEpoch(sc.shareToken)
 	}
 	for t, pl := range preset.Fixed {
@@ -225,13 +215,6 @@ type placer struct {
 	// resume replays the scratch trace's placement prefix; record appends
 	// this run's steps to the trace (both set by runPlacer).
 	resume, record bool
-
-	// probeWorkers is the run's probe-pool bound, already gated on
-	// AdaptiveWidth; shareToken is the scratch's search generation (0
-	// outside a recorded search), stamped onto arena cost buffers so their
-	// share caches stay warm within a search.
-	probeWorkers int
-	shareToken   uint64
 }
 
 func intsEqual(a, b []int) bool {
@@ -463,9 +446,10 @@ func (e *placer) place(tp int) (attempt, error) {
 	// then id) does not depend on the candidate slot, so it is established
 	// once per task; tryAt filters it by idleness at each probed time.
 	e.buildPreference(tp)
-	e.sc.ct.reset()
+	sc := e.sc
+	sc.ct.reset()
 
-	widths := e.sc.widthBuf[:0]
+	widths := sc.widthBuf[:0]
 	if e.cfg.AdaptiveWidth {
 		limit := e.tb.Pbest(tp, e.cluster.P)
 		for n := 1; n <= limit; n++ {
@@ -474,19 +458,15 @@ func (e *placer) place(tp int) (attempt, error) {
 	} else {
 		widths = append(widths, e.np[tp])
 	}
-	e.sc.widthBuf = widths
+	sc.widthBuf = widths
 
 	// The chart does not change while tp is being probed, so the candidate
 	// slot times — maxParentFt plus every distinct later boundary — are
 	// walked directly off the chart's sorted boundary multiset: no copy,
 	// and the walk stops as soon as the finish-time bound prunes.
-	ends := e.sc.chart.ends
+	ends := sc.chart.ends
 	endsFrom := sort.SearchFloat64s(ends, maxParentFt)
 	minF := e.minFactor()
-
-	// The serial scan probes through a probeCtx view over the scratch's own
-	// buffers; probe workers get disjoint arena-backed contexts (probe.go).
-	pc := e.sc.serialProbeCtx()
 
 	var best attempt
 	bestOK := false
@@ -497,37 +477,22 @@ func (e *placer) place(tp int) (attempt, error) {
 		// list is walked with a resumable cursor: -1 marks an unprobed
 		// processor, whose first probe binary-searches instead of scanning
 		// the whole list up to tau (tasks place late, lists are deep).
-		pc.cur = resetIntsTo(pc.cur, e.cluster.P, -1)
+		sc.posBuf = resetIntsTo(sc.posBuf, e.cluster.P, -1)
 		tau, idx := maxParentFt, endsFrom
-		serial := 0
 		for {
 			if bestOK && tau+etFastest >= best.finish {
 				break // later slots can only finish later
 			}
-			if e.probeWorkers >= 2 && serial >= probeSerialSpan && idx < len(ends) {
-				// The scan survived the serial prefix, so this is one of the
-				// long boundary walks worth parallelizing: hand the rest of
-				// the width to the probe pool. Its serial in-order fold
-				// replays exactly the rules below, so best/bestOK come back
-				// bit-identical to continuing here.
-				var err error
-				best, bestOK, err = e.probeTail(tp, tau, idx, n, et, etFastest, parents, maxParentFt, best, bestOK)
-				if err != nil {
-					return attempt{}, err
-				}
-				break
-			}
-			serial++
-			att, ok, err := e.tryAt(pc, tp, tau, n, et, parents, maxParentFt)
+			att, ok, err := e.tryAt(tp, tau, n, et, parents, maxParentFt)
 			if err != nil {
 				return attempt{}, err
 			}
 			if ok && (!bestOK || att.finish < best.finish-schedule.Eps) {
 				// Keep the improvement in the dedicated best-buffers; att's
 				// slices alias per-round scratch that the next probe reuses.
-				e.sc.bestProcs = append(e.sc.bestProcs[:0], att.procs...)
-				e.sc.bestComm = append(e.sc.bestComm[:0], att.comm...)
-				att.procs, att.comm = e.sc.bestProcs, e.sc.bestComm
+				sc.bestProcs = append(sc.bestProcs[:0], att.procs...)
+				sc.bestComm = append(sc.bestComm[:0], att.comm...)
+				att.procs, att.comm = sc.bestProcs, sc.bestComm
 				best, bestOK = att, true
 			}
 			// Advance to the next distinct boundary after tau.
@@ -541,7 +506,6 @@ func (e *placer) place(tp int) (attempt, error) {
 			idx++
 		}
 	}
-	e.sc.syncSerialProbeCtx(pc)
 	if !bestOK {
 		return attempt{}, fmt.Errorf("core: could not place task %d (np=%d) on P=%d", tp, e.np[tp], e.cluster.P)
 	}
@@ -667,10 +631,8 @@ func sortByScore(pref []int32, score []float64) {
 // tryAt evaluates placing tp in the idle slot beginning at tau. Because the
 // redistribution time depends on the chosen subset and the subset must stay
 // idle until the (redistribution-delayed) finish time, the search iterates
-// to a fixed point, tightening the required idle window each round. All
-// mutable state goes through pc, so concurrent probes of the same immutable
-// chart are race-free as long as each owns its probeCtx.
-func (e *placer) tryAt(pc *probeCtx, tp int, tau float64, n int, et float64, parents []model.AdjEdge, maxParentFt float64) (attempt, bool, error) {
+// to a fixed point, tightening the required idle window each round.
+func (e *placer) tryAt(tp int, tau float64, n int, et float64, parents []model.AdjEdge, maxParentFt float64) (attempt, bool, error) {
 	// Each fixed-point round takes the first n sufficiently-idle processors
 	// in preference order. A slow node in the subset stretches the whole
 	// task (it runs at the slowest member's pace), which almost always
@@ -680,19 +642,19 @@ func (e *placer) tryAt(pc *probeCtx, tp int, tau float64, n int, et float64, par
 	// preference order only until the subset is filled, so a task needing
 	// n processors rarely touches more than the first ~n chart columns.
 	// Skipped processors keep valid cursors because probe times never
-	// decrease within a width (per probeCtx: a probe worker only ever sees
-	// ascending slot times, see probeTail). The probe itself is freeAt with
-	// the binary search replaced by the resumable per-processor cursor.
+	// decrease within a width. The probe itself is freeAt with the binary
+	// search replaced by the resumable per-processor cursor.
+	sc := e.sc
 	pref := e.pref
-	ch := &e.sc.chart
-	cur := pc.cur
+	ch := &sc.chart
+	cur := sc.posBuf
 	backfill := ch.backfill
-	free := pc.free[:0]
+	free := sc.freeBuf[:0]
 	next := 0 // next preference-order processor not yet probed
 
 	need := tau + et // minimal idle window; grows as comm delays surface
 	for round := 0; round < 4; round++ {
-		procs := pc.procs[:0]
+		procs := sc.procBuf[:0]
 		// The subset is feasible iff its least idle-until covers the
 		// finish time, so only the minimum needs tracking.
 		minUntil := infinity
@@ -750,14 +712,14 @@ func (e *placer) tryAt(pc *probeCtx, tp int, tau float64, n int, et float64, par
 				}
 			}
 		}
-		pc.free, pc.procs = free, procs
+		sc.freeBuf, sc.procBuf = free, procs
 		if len(procs) < n {
 			return attempt{}, false, nil
 		}
 		// Canonical block-cyclic layout order.
 		slices.Sort(procs)
 
-		att, err := e.timeOn(pc, tau, et, parents, maxParentFt, procs)
+		att, err := e.timeOn(tau, et, parents, maxParentFt, procs)
 		if err != nil {
 			return attempt{}, false, err
 		}
@@ -775,9 +737,9 @@ func (e *placer) tryAt(pc *probeCtx, tp int, tau float64, n int, et float64, par
 // timeOn computes start/finish and communication charges for running the
 // task being placed on the given processor set with the slot opening at
 // tau. The charges depend only on the processor set (not on tau), so they
-// are memoized in pc's ct memo across the candidate-time probes.
-func (e *placer) timeOn(pc *probeCtx, tau, et float64, parents []model.AdjEdge, maxParentFt float64, procs []int) (attempt, error) {
-	m := pc.ct
+// are memoized in the scratch's ct memo across the candidate-time probes.
+func (e *placer) timeOn(tau, et float64, parents []model.AdjEdge, maxParentFt float64, procs []int) (attempt, error) {
+	m := &e.sc.ct
 	ph := procsHash(procs)
 	slot := -1
 	for i := 0; i < m.count; i++ {
@@ -799,7 +761,7 @@ func (e *placer) timeOn(pc *probeCtx, tau, et float64, parents []model.AdjEdge, 
 		comm := m.comm[slot][:0]
 		maxCt, sumCt, rct := 0.0, 0.0, 0.0
 		for _, pe := range parents {
-			ct := e.edgeCost(pc, pe.Other, pe.Volume, procs, ph)
+			ct := e.edgeCost(pe.Other, pe.Volume, procs, ph)
 			comm = append(comm, ct)
 			if ct > maxCt {
 				maxCt = ct
@@ -868,10 +830,10 @@ func (e *placer) minFactor() float64 {
 }
 
 // edgeCost is the locality-aware redistribution time from parent's group to
-// the candidate subset, memoized by complete content in pc's cost-cache
-// levels (the search re-asks the same layout pairs run after run). procsHash
+// the candidate subset, memoized by complete content in the scratch's cost
+// cache (the search re-asks the same layout pairs run after run). procsHash
 // is the caller's digest of procs, computed once per candidate subset.
-func (e *placer) edgeCost(pc *probeCtx, par int, vol float64, procs []int, procsHash uint64) float64 {
+func (e *placer) edgeCost(par int, vol float64, procs []int, procsHash uint64) float64 {
 	if vol == 0 {
 		return 0
 	}
@@ -879,29 +841,23 @@ func (e *placer) edgeCost(pc *probeCtx, par int, vol float64, procs []int, procs
 	if len(src) == len(procs) && intsEqual(src, procs) {
 		return 0 // same layout, nothing moves
 	}
+	sc := e.sc
 	h := costHash(procsHash, vol, e.rm.BlockBytes, e.rm.Bandwidth, src)
-	if c, ok := pc.costs.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
+	if c, ok := sc.costCache.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
 		return c
 	}
-	// Fallback levels behind the writable L1: the serial scan's cache
-	// (frozen while a fan-out is in flight; nil on the serial path, whose
-	// L1 it is) and the read-only cross-worker snapshot installed by
-	// Worker.UseShared for this (graph, cluster) content. Hits are promoted
-	// into the live L1 so repeats stay one probe.
-	if rd := pc.costRead; rd != nil {
-		if c, ok := rd.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
-			pc.costs.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
-			return c
-		}
-	}
-	if sh := pc.costShared; sh != nil {
+	// Fallback level behind the writable cache: the read-only cross-worker
+	// snapshot installed by Worker.UseShared for this (graph, cluster)
+	// content. Hits are promoted into the live cache so repeats stay one
+	// probe.
+	if sh := sc.costShared; sh != nil {
 		if c, ok := sh.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
-			pc.costs.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
+			sc.costCache.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
 			return c
 		}
 	}
-	c := e.rm.FastCostBuf(vol, src, procs, pc.costBuf)
-	pc.costs.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
+	c := e.rm.FastCostBuf(vol, src, procs, sc.costBuf)
+	sc.costCache.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
 	return c
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -53,12 +52,6 @@ type LoCMPS struct {
 	// bit-identical either way; the switch exists for ablation, tests and
 	// the reference configuration benchmarks are baselined against.
 	DisableResume bool
-	// ProbeWorkers bounds the probe pool inside a single LoCBS run: the
-	// candidate-slot scan of each task placement fans its surviving tail
-	// out over this many workers and folds the results back in slot order
-	// (see probe.go), so schedules stay bit-identical to the serial scan.
-	// 0 selects one worker per CPU; values below 2 keep the scan serial.
-	ProbeWorkers int
 
 	// mu guards stats, the only mutable state on the instance.
 	mu sync.Mutex
@@ -94,12 +87,6 @@ type SearchStats struct {
 	// traced placement steps rolled back off the chart at the first dirty
 	// position (the suffix each resume had to re-place).
 	RollbackDepth int
-	// ProbeFanouts counts candidate-slot scans that engaged the probe pool
-	// (scans surviving the serial prefix when ProbeWorkers >= 2).
-	ProbeFanouts int
-	// ProbeSlots accumulates the candidate slots evaluated concurrently by
-	// those fan-outs.
-	ProbeSlots int
 }
 
 // Metrics converts the stats into the model-level RunMetrics snapshot the
@@ -116,8 +103,6 @@ func (st SearchStats) Metrics() model.RunMetrics {
 		ReplayedTasks:   st.ReplayedTasks,
 		ResumedRuns:     st.ResumedRuns,
 		RollbackDepth:   st.RollbackDepth,
-		ProbeFanouts:    st.ProbeFanouts,
-		ProbeSlots:      st.ProbeSlots,
 	}
 }
 
@@ -134,21 +119,6 @@ func (s *LoCMPS) LastStats() SearchStats {
 // method through an interface assertion).
 func (s *LoCMPS) LastRunMetrics() model.RunMetrics {
 	return s.LastStats().Metrics()
-}
-
-// probeWorkers resolves the effective probe-pool bound: 0 means one per
-// CPU; below 2 the candidate scans stay serial (there is no second worker
-// to probe a slot concurrently, so a pool would only add dispatch
-// overhead).
-func (s *LoCMPS) probeWorkers() int {
-	w := s.ProbeWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 2 {
-		return 1
-	}
-	return w
 }
 
 func (s *LoCMPS) setStats(st SearchStats) {
@@ -183,20 +153,8 @@ func NewICASLB() *LoCMPS {
 	}
 }
 
-// NewParallel returns the paper configuration with the in-run probe pool
-// (ProbeWorkers) pinned to the given worker count. The pool is
-// bit-identity-preserving, so this differs from New only in where the work
-// executes. workers = 0 keeps the GOMAXPROCS default; 1 forces fully serial
-// execution of an otherwise fully accelerated search.
-func NewParallel(workers int) *LoCMPS {
-	if workers < 0 {
-		workers = 0
-	}
-	return &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(), ProbeWorkers: workers}
-}
-
 // NewReference returns the paper configuration with every engine-level
-// acceleration (memo table, incremental resume, probe pool) switched off.
+// acceleration (memo table, incremental resume) switched off.
 // Schedules are bit-identical to New's — the accelerations never change
 // results — so this is the baseline configuration performance comparisons
 // are measured against.
@@ -206,7 +164,6 @@ func NewReference() *LoCMPS {
 		Engine:        DefaultConfig(),
 		DisableMemo:   true,
 		DisableResume: true,
-		ProbeWorkers:  1,
 	}
 }
 
@@ -263,10 +220,8 @@ type search struct {
 	tb      *model.Tables
 	sc      *placerScratch
 	stats   SearchStats
-	// memo caches every evaluated allocation vector (nil when disabled);
-	// probeWorkers > 1 enables the in-run probe pool.
-	memo         *allocMemo
-	probeWorkers int
+	// memo caches every evaluated allocation vector (nil when disabled).
+	memo *allocMemo
 	// resume enables incremental placement: every runLoCBS may resume from
 	// the trace the search's scratch recorded for the previous run.
 	resume bool
@@ -312,19 +267,18 @@ func (s *LoCMPS) runSearchOn(ctx context.Context, sc *placerScratch, tg *model.T
 	}
 	sc.prepareSearch(n, tg.M())
 	r := &search{
-		alg:          s,
-		tg:           tg,
-		cluster:      cluster,
-		cfg:          s.Engine.withDefaults(),
-		preset:       preset,
-		tb:           tg.Tables(cluster.P),
-		sc:           sc,
-		probeWorkers: s.probeWorkers(),
-		resume:       !s.DisableResume,
-		ctx:          ctx,
-		budget:       budget,
-		pbest:        make([]int, n),
-		caps:         make([]int, n),
+		alg:     s,
+		tg:      tg,
+		cluster: cluster,
+		cfg:     s.Engine.withDefaults(),
+		preset:  preset,
+		tb:      tg.Tables(cluster.P),
+		sc:      sc,
+		resume:  !s.DisableResume,
+		ctx:     ctx,
+		budget:  budget,
+		pbest:   make([]int, n),
+		caps:    make([]int, n),
 	}
 	if !s.DisableMemo {
 		r.memo = newAllocMemo()
@@ -515,19 +469,17 @@ func (r *search) runLoCBS(np []int) (*schedule.Schedule, error) {
 		r.stats.CacheMisses++
 	}
 	r.stats.LoCBSRuns++
-	sched, err := runPlacer(r.tg, r.cluster, np, r.cfg, r.preset, r.sc, r.resume, r.probeWorkers)
+	sched, err := runPlacer(r.tg, r.cluster, np, r.cfg, r.preset, r.sc, r.resume)
 	if err != nil {
 		return nil, err
 	}
-	// Fold the run's resume and probe accounting into the stats.
+	// Fold the run's resume accounting into the stats.
 	sc := r.sc
 	r.stats.ReplayedTasks += sc.lastReplayed
 	r.stats.RollbackDepth += sc.lastRolledBack
 	if sc.lastReplayed > 0 {
 		r.stats.ResumedRuns++
 	}
-	r.stats.ProbeFanouts += sc.lastProbeFanouts
-	r.stats.ProbeSlots += sc.lastProbeSlots
 	if r.memo != nil {
 		r.memo.insert(np, sched)
 	}

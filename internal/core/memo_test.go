@@ -148,38 +148,21 @@ func TestMemoCacheHitDeterminism(t *testing.T) {
 }
 
 // TestSpeculationMatchesSerial widens the candidate window to 0.5 and
-// checks that the probe pool changes neither the schedule nor any search
-// counter other than its own, and that a repeat run reproduces every
-// counter — the resume counters included, since the search owns its trace.
+// checks that a repeat run reproduces every search counter — the resume
+// counters included, since the search owns its trace.
 func TestSpeculationMatchesSerial(t *testing.T) {
 	tg, c := memoGraph(t), memoCluster()
+	alg := &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(), TopFraction: 0.5}
 
-	serial := &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(),
-		TopFraction: 0.5, ProbeWorkers: 1}
-	probed := &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(),
-		TopFraction: 0.5, ProbeWorkers: 4}
-
-	sSerial, err := serial.Schedule(tg, c)
-	if err != nil {
+	if _, err := alg.Schedule(tg, c); err != nil {
 		t.Fatal(err)
 	}
-	sProbed, err := probed.Schedule(tg, c)
-	if err != nil {
+	first := alg.LastStats()
+	if _, err := alg.Schedule(tg, c); err != nil {
 		t.Fatal(err)
 	}
-	assertSameSchedule(t, sSerial, sProbed, "probe pool vs serial")
-
-	stSerial, stProbed := serial.LastStats(), probed.LastStats()
-	withoutProbe := stProbed
-	withoutProbe.ProbeFanouts, withoutProbe.ProbeSlots = 0, 0
-	if !reflect.DeepEqual(stSerial, withoutProbe) {
-		t.Errorf("probe pool changed the search: serial %+v vs probed %+v", stSerial, stProbed)
-	}
-	if _, err := probed.Schedule(tg, c); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stProbed, probed.LastStats()) {
-		t.Errorf("stats drifted across identical runs: %+v vs %+v", stProbed, probed.LastStats())
+	if !reflect.DeepEqual(first, alg.LastStats()) {
+		t.Errorf("stats drifted across identical runs: %+v vs %+v", first, alg.LastStats())
 	}
 }
 
@@ -229,13 +212,11 @@ func TestConcurrentSearchStatsDeterministic(t *testing.T) {
 }
 
 // TestScheduleDualConcurrentSpeculation drives ScheduleDual — itself two
-// concurrent searches — from several goroutines with the probe pool forced
-// on, so `go test -race` exercises concurrent searches whose placement runs
-// each fan out their own probe workers.
+// concurrent searches — from several goroutines on one instance, so
+// `go test -race` exercises concurrent searches sharing the scratch pool.
 func TestScheduleDualConcurrentSpeculation(t *testing.T) {
 	tg, c := memoGraph(t), memoCluster()
-	alg := &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(),
-		TopFraction: 0.5, ProbeWorkers: 4}
+	alg := &LoCMPS{AlgorithmName: "LoC-MPS", Engine: DefaultConfig(), TopFraction: 0.5}
 
 	want, err := alg.ScheduleDual(tg, c)
 	if err != nil {

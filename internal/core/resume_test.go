@@ -154,7 +154,7 @@ func TestIncrementalPlacerMatchesScratch(t *testing.T) {
 				ti := r.Intn(n)
 				np[ti] = 1 + r.Intn(cluster.P)
 			}
-			inc, err := runPlacer(tg, cluster, np, cfg, Preset{}, sc, true, 1)
+			inc, err := runPlacer(tg, cluster, np, cfg, Preset{}, sc, true)
 			if err != nil {
 				t.Fatalf("round %d: incremental: %v", round, err)
 			}

@@ -37,21 +37,8 @@ type placerScratch struct {
 	widthBuf []int
 	shareBuf []float64
 	// ct memoizes the tau-independent communication charges of the
-	// processor sets recently probed for the task being placed; this is the
-	// serial scan's instance (each probe arena owns its own, see probe.go).
+	// processor sets recently probed for the task being placed.
 	ct ctMemo
-	// Probe-parallel state (probe.go): the serial scan's probe context,
-	// per-worker arenas whose caches stay warm across runs, and the batch
-	// tau/result buffers of the fan-out.
-	serial   probeCtx
-	arenas   []probeArena
-	tauBuf   []float64
-	probeRes []probeResult
-	// lastProbeFanouts/lastProbeSlots report what the most recent runPlacer
-	// call did with the probe pool; the search layer folds them into
-	// SearchStats alongside the resume counters.
-	lastProbeFanouts int
-	lastProbeSlots   int
 	// Per-task preference-order cache: prefScores/prefOrder hold one row
 	// of P entries per task, valid while prefValid[t] and the task's score
 	// vector is unchanged. The sorted order is a pure function of the
@@ -106,6 +93,23 @@ type placerScratch struct {
 	bestAlloc  []int
 	cands      []taskCand
 }
+
+// ctMemo memoizes the tau-independent communication charges of the
+// processor subsets recently probed for the task being placed; the
+// fixed-point rounds alternate between a few subsets, so a handful of
+// slots captures nearly every repeat.
+type ctMemo struct {
+	procs [32][]int
+	hash  [32]uint64
+	comm  [32][]float64
+	max   [32]float64
+	sum   [32]float64
+	rct   [32]float64
+	count int
+	next  int
+}
+
+func (m *ctMemo) reset() { m.count, m.next = 0, 0 }
 
 // placementTrace is the prefix checkpoint of the last recorded LoCBS run.
 // The scratch's chart still holds that run's full reservation state (with

@@ -14,8 +14,7 @@ import (
 // (placement-engine runs, look-ahead steps) and how much of it the
 // allocation-vector memo absorbed (cache-hit percentage), plus the
 // incremental-placement accounting (resumed runs, replayed tasks, rollback
-// depth and the replay rate) and the probe pool's fan-outs. It is
-// the experiment-level view of the numbers cmd/benchjson records per
+// depth and the replay rate). It is the experiment-level view of the numbers cmd/benchjson records per
 // benchmark case.
 func SearchStatsFigure(opt SuiteOptions) (Figure, error) {
 	if err := opt.validate(); err != nil {
@@ -58,8 +57,6 @@ func SearchStatsFigure(opt SuiteOptions) (Figure, error) {
 		{"replayed-tasks", func(m model.RunMetrics) float64 { return float64(m.ReplayedTasks) }},
 		{"rollback-depth", func(m model.RunMetrics) float64 { return float64(m.RollbackDepth) }},
 		{"replay-%", func(m model.RunMetrics) float64 { return 100 * m.ReplayRate() }},
-		{"probe-fanouts", func(m model.RunMetrics) float64 { return float64(m.ProbeFanouts) }},
-		{"probe-slots", func(m model.RunMetrics) float64 { return float64(m.ProbeSlots) }},
 	}
 	for _, sp := range series {
 		s := Series{Name: sp.name}

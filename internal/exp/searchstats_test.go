@@ -12,8 +12,7 @@ func TestSearchStatsFigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"locbs-runs", "lookahead-steps", "cache-hit-%",
-		"resumed-runs", "replayed-tasks", "rollback-depth", "replay-%",
-		"probe-fanouts", "probe-slots"}
+		"resumed-runs", "replayed-tasks", "rollback-depth", "replay-%"}
 	if len(f.Series) != len(want) {
 		t.Fatalf("stats: %d series, want %d", len(f.Series), len(want))
 	}

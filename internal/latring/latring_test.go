@@ -129,7 +129,7 @@ func TestConcurrentRecord(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Record(time.Duration(g*1000+i))
+				r.Record(time.Duration(g*1000 + i))
 				r.Quantiles()
 			}
 		}(g)

@@ -8,8 +8,7 @@ import (
 // RunMetrics is a scheduler-run snapshot of the work the LoC-MPS search
 // layer performed: how the bounded look-ahead explored the allocation
 // space, how often the allocation-vector memo table short-circuited a
-// placement run, and how much placement work incremental resume and the
-// probe pool absorbed.
+// placement run, and how much placement work incremental resume absorbed.
 // It lives in internal/model so that experiment drivers and the command
 // line tools can report it without depending on the scheduler package.
 type RunMetrics struct {
@@ -45,9 +44,9 @@ type RunMetrics struct {
 	// RollbackDepth accumulates, over all resumed runs, how many traced
 	// placement steps were rolled back at the first divergent position.
 	RollbackDepth int
-	// ProbeFanouts counts candidate-slot scans handed to the in-run probe
-	// pool; ProbeSlots accumulates the slots those fan-outs evaluated
-	// concurrently. Both are zero when probe parallelism is off.
+	// Deprecated: ProbeFanouts and ProbeSlots are always zero. LoCBS scans
+	// its candidate slots serially, so nothing fans out. They remain only
+	// because the frozen e2ebench module still reports them.
 	ProbeFanouts int
 	ProbeSlots   int
 }
@@ -92,9 +91,6 @@ func (m RunMetrics) String() string {
 	if m.ResumedRuns > 0 {
 		fmt.Fprintf(&b, " resume=%d replayed=%d rollback=%d (%.1f%% replay)",
 			m.ResumedRuns, m.ReplayedTasks, m.RollbackDepth, 100*m.ReplayRate())
-	}
-	if m.ProbeFanouts > 0 {
-		fmt.Fprintf(&b, " probe=%d fanouts (%d slots)", m.ProbeFanouts, m.ProbeSlots)
 	}
 	return b.String()
 }

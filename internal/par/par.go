@@ -1,7 +1,6 @@
 // Package par provides the bounded, deterministic worker pool shared by the
-// experiment drivers (internal/exp) and the candidate-probe pool of the
-// LoC-MPS placement engine (internal/core). It lives below both so neither has
-// to depend on the other.
+// experiment drivers (internal/exp) and the portfolio racer
+// (internal/portfolio).
 package par
 
 import (
@@ -43,18 +42,6 @@ func (e *PanicError) Error() string {
 // wins; panics take precedence over returned errors). On the inline
 // workers <= 1 path panics propagate to the submitter directly, untouched.
 func For(workers, n int, fn func(i int) error) error {
-	return ForWorker(workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForWorker is For with the pool slot exposed: fn(w, i) runs index i on
-// worker w in [0, effective workers). Indices are drawn in ascending order
-// from one shared counter, so the sequence of indices each individual worker
-// observes is strictly increasing — callers that keep per-worker cursor
-// state over a monotone domain (the resumable chart cursors of the probe
-// arenas in internal/core) depend on exactly that. On the inline path
-// (one effective worker) every index runs as worker 0. Error and panic
-// semantics are For's.
-func ForWorker(workers, n int, fn func(w, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -64,7 +51,7 @@ func ForWorker(workers, n int, fn func(w, i int) error) error {
 	if workers <= 1 {
 		var firstErr error
 		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil && firstErr == nil {
+			if err := fn(i); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -78,7 +65,7 @@ func ForWorker(workers, n int, fn func(w, i int) error) error {
 		firstPan *PanicError
 		wg       sync.WaitGroup
 	)
-	call := func(w, i int) (err error) {
+	call := func(i int) (err error) {
 		defer func() {
 			if v := recover(); v != nil {
 				pe := &PanicError{Index: i, Value: v, Stack: debug.Stack()}
@@ -89,19 +76,19 @@ func ForWorker(workers, n int, fn func(w, i int) error) error {
 				mu.Unlock()
 			}
 		}()
-		return fn(w, i)
+		return fn(i)
 	}
 	next.Store(-1)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1))
 				if i >= n {
 					return
 				}
-				if err := call(w, i); err != nil {
+				if err := call(i); err != nil {
 					mu.Lock()
 					if i < firstIdx {
 						firstIdx, firstErr = i, err
@@ -109,7 +96,7 @@ func ForWorker(workers, n int, fn func(w, i int) error) error {
 					mu.Unlock()
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if firstPan != nil {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"locmps/internal/audit"
 	"locmps/internal/schedule"
 )
 
@@ -30,8 +31,10 @@ const l2Suffix = ".sched.json"
 //     recently used, where "use" is Get or Put in this process and file
 //     mtime order seeds the recency list at startup.
 //   - Loads are corruption tolerant: an entry that fails to decode (torn
-//     disk, schema drift, truncation) is deleted and reported as a miss;
-//     the worker falls back to a cold search and overwrites it.
+//     disk, schema drift, truncation), was stored for another cluster or
+//     fails the internal/audit oracle (a tampered placement) is deleted
+//     and reported as a miss; the worker falls back to a cold search and
+//     overwrites it.
 //
 // DiskCache implements SecondLevel and is safe for concurrent use.
 type DiskCache struct {
@@ -109,9 +112,11 @@ func (c *DiskCache) Dir() string { return c.dir }
 func (c *DiskCache) path(hex string) string { return filepath.Join(c.dir, hex+l2Suffix) }
 
 // Get implements SecondLevel: it loads and decodes the entry stored under
-// key against the request's graph. Every failure mode — absent file,
-// unreadable file, torn or drifted payload — is a miss; corrupt files are
-// deleted so they are rewritten rather than re-tripped-over.
+// key against the request's graph, then audits it against the request.
+// Every failure mode — absent file, unreadable file, torn or drifted
+// payload, a schedule for another cluster or one the oracle rejects — is a
+// miss; corrupt files are deleted so they are rewritten rather than
+// re-tripped-over.
 func (c *DiskCache) Get(key Key, req Request) (*schedule.Schedule, bool, bool) {
 	hex := HexKey(key)
 	c.mu.Lock()
@@ -138,7 +143,21 @@ func (c *DiskCache) Get(key Key, req Request) (*schedule.Schedule, bool, bool) {
 		if !WireSchemaOK(wr.Schema) {
 			return nil, fmt.Errorf("schema %q", wr.Schema)
 		}
-		return wr.Schedule.ToSchedule(req.Graph)
+		s, err := wr.Schedule.ToSchedule(req.Graph)
+		if err != nil {
+			return nil, err
+		}
+		if s.Cluster != req.Cluster {
+			return nil, fmt.Errorf("cluster %+v, request %+v", s.Cluster, req.Cluster)
+		}
+		bb := req.Options.normalized().BlockBytes
+		if req.portfolio() {
+			bb = 0 // raced engines run their default configurations
+		}
+		if err := audit.Check(req.Graph, s, audit.Options{BlockBytes: bb}).Err(); err != nil {
+			return nil, err
+		}
+		return s, nil
 	}()
 	if err != nil {
 		c.drop(hex, true)

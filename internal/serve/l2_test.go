@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"locmps/internal/audit"
 	"locmps/internal/core"
 	"locmps/internal/model"
 )
@@ -126,6 +128,115 @@ func TestDiskCacheCorruptionTolerated(t *testing.T) {
 		}
 		dc.Put(key, req, s, false) // restore for the next round
 	}
+}
+
+// TestDiskCacheRejectsTamperedEntry: a well-formed entry whose schedule
+// was edited on disk — a task moved to a processor the cluster lacks, or
+// the whole schedule relabelled to another cluster — decodes cleanly but
+// must not be served. It is deleted and counted as corrupt, like a torn
+// file.
+func TestDiskCacheRejectsTamperedEntry(t *testing.T) {
+	req := l2Request(t, 10, 4)
+	key, err := req.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.New().Schedule(req.Graph, req.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tamper := map[string]func(*WireResponse){
+		"processor outside the cluster": func(wr *WireResponse) { wr.Schedule.Placements[0].Procs[0] = 999 },
+		"another cluster":               func(wr *WireResponse) { wr.Schedule.Cluster.P = 2 * req.Cluster.P },
+		"start moved before its parent": func(wr *WireResponse) {
+			last := len(wr.Schedule.Placements) - 1
+			wr.Schedule.Placements[last].Start = -1
+		},
+	}
+	for name, edit := range tamper {
+		dir := t.TempDir()
+		dc, err := OpenDiskCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dc.Put(key, req, s, false)
+		path := filepath.Join(dir, HexKey(key)+l2Suffix)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wr WireResponse
+		if err := json.Unmarshal(data, &wr); err != nil {
+			t.Fatal(err)
+		}
+		edit(&wr)
+		if data, err = json.Marshal(wr); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := dc.Get(key, req); ok {
+			t.Errorf("%s: tampered entry served as a hit", name)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: tampered entry not deleted", name)
+		}
+		if st := dc.Stats(); st.Corrupt != 1 || st.Hits != 0 {
+			t.Errorf("%s: stats %+v, want 1 corrupt and no hit", name, st)
+		}
+	}
+}
+
+// FuzzDiskCacheGet stores arbitrary bytes as the L2 file of a real key.
+// Get must never panic, and any hit must be a schedule for the request's
+// cluster that the audit oracle accepts. The instance is tiny so the seed
+// file, and with it input minimization, stays cheap.
+func FuzzDiskCacheGet(f *testing.F) {
+	req := Request{
+		Graph:   testGraph(f, 3, 9),
+		Cluster: model.Cluster{P: 2, Bandwidth: 12.5e6, Overlap: true},
+	}
+	key, err := req.Fingerprint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := core.New().Schedule(req.Graph, req.Cluster)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dir := f.TempDir()
+	dc, err := OpenDiskCache(dir, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(dir, HexKey(key)+l2Suffix)
+	dc.Put(key, req, s, false)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(strings.Replace(string(valid), `"procs":[`, `"procs":[999,`, 1)))
+	f.Add([]byte(strings.Replace(string(valid), `"p":2`, `"p":3`, 1)))
+	f.Add([]byte("{"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dc.Put(key, req, s, false) // (re)index the key
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, _, ok := dc.Get(key, req)
+		if !ok {
+			return
+		}
+		if got.Cluster != req.Cluster {
+			t.Fatalf("hit for cluster %+v, request %+v", got.Cluster, req.Cluster)
+		}
+		if err := audit.Check(req.Graph, got, audit.Options{}).Err(); err != nil {
+			t.Fatalf("hit fails the audit: %v", err)
+		}
+	})
 }
 
 // TestDiskCacheEviction: the byte bound holds, eviction is LRU, and

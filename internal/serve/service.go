@@ -59,14 +59,9 @@ type Config struct {
 	// and populated after every successful cacheable run. Warm state in an
 	// L2 survives process restarts; a nil L2 disables the tier.
 	L2 SecondLevel
-	// SearchWorkers sizes the in-run candidate-probe pool of each cold
-	// LoC-MPS run, which is bit-identity-preserving. The default
-	// divides GOMAXPROCS by the number of request-level workers
-	// (Shards x WorkersPerShard, minimum 1), so the service never
-	// oversubscribes: when request concurrency already fills the machine
-	// each search runs serially, and on a wide machine serving few
-	// concurrent requests the spare cores accelerate each individual
-	// search. Set 1 to force serial searches regardless of topology.
+	// Deprecated: SearchWorkers is ignored. Every search scans its
+	// candidate slots serially; the field remains only because the frozen
+	// e2ebench module still sets it.
 	SearchWorkers int
 }
 
@@ -98,12 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 1 {
 		c.CacheEntries = 1024
 	}
-	if c.SearchWorkers < 1 {
-		c.SearchWorkers = runtime.GOMAXPROCS(0) / (c.Shards * c.WorkersPerShard)
-		if c.SearchWorkers < 1 {
-			c.SearchWorkers = 1
-		}
-	}
 	return c
 }
 
@@ -127,20 +116,20 @@ type Service struct {
 	portfolioRaces atomic.Uint64
 	winnerHits     atomic.Uint64
 	winnerMisses   atomic.Uint64
-	hits         atomic.Uint64
-	coalesced    atomic.Uint64
-	scheduled    atomic.Uint64
-	rejected     atomic.Uint64
-	failed       atomic.Uint64
-	cancelled    atomic.Uint64
-	evictions    atomic.Uint64
-	completed    atomic.Uint64
-	sharedHits   atomic.Uint64
-	sharedMisses atomic.Uint64
-	l2Hits       atomic.Uint64
-	l2Misses     atomic.Uint64
-	l2Writes     atomic.Uint64
-	lat          *latring.Ring
+	hits           atomic.Uint64
+	coalesced      atomic.Uint64
+	scheduled      atomic.Uint64
+	rejected       atomic.Uint64
+	failed         atomic.Uint64
+	cancelled      atomic.Uint64
+	evictions      atomic.Uint64
+	completed      atomic.Uint64
+	sharedHits     atomic.Uint64
+	sharedMisses   atomic.Uint64
+	l2Hits         atomic.Uint64
+	l2Misses       atomic.Uint64
+	l2Writes       atomic.Uint64
+	lat            *latring.Ring
 }
 
 type shard struct {
@@ -449,7 +438,7 @@ func (s *Service) runJob(cw *core.Worker, algs map[Options]schedule.Engine, jb *
 	cfg.MaxIterations = 0
 	alg, ok := algs[cfg]
 	if !ok {
-		if alg, err = buildScheduler(cfg, s.cfg.SearchWorkers); err != nil {
+		if alg, err = buildScheduler(cfg); err != nil {
 			return nil, false, err
 		}
 		algs[cfg] = alg
@@ -543,9 +532,6 @@ func (s *Service) runWinner(cw *core.Worker, jb *job, winner string) (*schedule.
 		res, err := alg.ScheduleContext(jb.ctx, jb.req.Graph, jb.req.Cluster)
 		return res, false, err
 	}
-	// Winner runs are cold searches like any other: give them the same
-	// intra-search parallelism budget the single-engine path gets.
-	lm.ProbeWorkers = s.cfg.SearchWorkers
 	skey, kerr := jb.req.StateKey()
 	if kerr == nil {
 		if st := s.states.get(skey); st != nil {
@@ -697,9 +683,7 @@ func (r *stateRegistry) put(k Key, st *core.SharedState) {
 }
 
 // buildScheduler materializes the scheduler for normalized options.
-// searchWorkers pins the probe pool of LoC-MPS-family schedulers
-// (Config.SearchWorkers — the oversubscription budget).
-func buildScheduler(o Options, searchWorkers int) (schedule.Engine, error) {
+func buildScheduler(o Options) (schedule.Engine, error) {
 	alg, err := sched.ByName(o.Algorithm)
 	if err != nil {
 		return nil, err
@@ -708,7 +692,6 @@ func buildScheduler(o Options, searchWorkers int) (schedule.Engine, error) {
 		lm.LookAheadDepth = o.LookAheadDepth
 		lm.TopFraction = o.TopFraction
 		lm.Engine.BlockBytes = o.BlockBytes
-		lm.ProbeWorkers = searchWorkers
 	}
 	return alg, nil
 }
@@ -769,10 +752,11 @@ type Stats struct {
 	// number of cached schedules.
 	Evictions    uint64
 	CacheEntries int
-	// Shards and Workers describe the running topology; SearchWorkers is
-	// the per-cold-run intra-search parallelism budget (Config.SearchWorkers
-	// after defaulting).
-	Shards, Workers, SearchWorkers int
+	// Shards and Workers describe the running topology.
+	Shards, Workers int
+	// Deprecated: SearchWorkers is always 0. Searches run serially; the
+	// field remains only because the frozen e2ebench module still reads it.
+	SearchWorkers int
 	// Uptime is the time since New; P50/P99 are request latency quantiles
 	// over a sliding window of recent completions.
 	Uptime   time.Duration
@@ -811,7 +795,6 @@ func (s *Service) Stats() Stats {
 		L2Writes:          s.l2Writes.Load(),
 		Shards:            len(s.shards),
 		Workers:           len(s.shards) * s.cfg.WorkersPerShard,
-		SearchWorkers:     s.cfg.SearchWorkers,
 		Uptime:            time.Since(s.start),
 	}
 	for _, sh := range s.shards {

@@ -16,7 +16,7 @@ import (
 
 // testGraph generates a deterministic synthetic workload; distinct seeds
 // give distinct fingerprints.
-func testGraph(t *testing.T, tasks int, seed int64) *model.TaskGraph {
+func testGraph(t testing.TB, tasks int, seed int64) *model.TaskGraph {
 	t.Helper()
 	p := synth.DefaultParams()
 	p.Tasks = tasks
@@ -77,7 +77,7 @@ func equalSchedules(a, b *schedule.Schedule, m int) string {
 func directRun(t *testing.T, req Request) *schedule.Schedule {
 	t.Helper()
 	o := req.Options.normalized()
-	alg, err := buildScheduler(o, 1)
+	alg, err := buildScheduler(o)
 	if err != nil {
 		t.Fatalf("buildScheduler: %v", err)
 	}
@@ -144,15 +144,14 @@ func TestServiceBitIdenticalColdAndHit(t *testing.T) {
 	}
 }
 
-// TestServiceSearchWorkersBitIdentical pins the intra-search pools
-// (Config.SearchWorkers) wide and checks cold runs stay bit-identical to a
-// serial direct run — the probe pool, the window barrier and the dominance
-// bound must be invisible in the service's output whatever the budget.
+// TestServiceSearchWorkersBitIdentical sets the deprecated
+// Config.SearchWorkers and checks it is ignored: Stats reports 0 and cold
+// runs stay bit-identical to a direct run.
 func TestServiceSearchWorkersBitIdentical(t *testing.T) {
 	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 8, CacheEntries: 32, SearchWorkers: 4})
 	defer svc.Close()
-	if got := svc.Stats().SearchWorkers; got != 4 {
-		t.Fatalf("Stats().SearchWorkers = %d, want 4", got)
+	if got := svc.Stats().SearchWorkers; got != 0 {
+		t.Fatalf("Stats().SearchWorkers = %d, want 0", got)
 	}
 	reqs := []Request{
 		{Graph: testGraph(t, 24, 5), Cluster: testClusterP(16)},
@@ -166,7 +165,7 @@ func TestServiceSearchWorkersBitIdentical(t *testing.T) {
 			t.Fatalf("req %d: %v", i, err)
 		}
 		if diff := equalSchedules(want, got, req.Graph.M()); diff != "" {
-			t.Errorf("req %d: parallel-search service run differs from serial direct run: %s", i, diff)
+			t.Errorf("req %d: service run differs from direct run: %s", i, diff)
 		}
 	}
 }

@@ -110,7 +110,7 @@ func NewTable(times []float64) (Table, error) { return speedup.NewTable(times) }
 
 // RunMetrics is a per-run snapshot of the LoC-MPS search layer's work:
 // look-ahead iterations, placement-engine invocations, allocation-vector
-// memo hits/misses, incremental-resume and probe-pool accounting.
+// memo hits/misses and incremental-resume accounting.
 type RunMetrics = model.RunMetrics
 
 // SearchMetrics returns the most recent Schedule call's RunMetrics for
@@ -128,17 +128,16 @@ func SearchMetrics(s Scheduler) (m RunMetrics, ok bool) {
 // look-ahead.
 func NewLoCMPS() Scheduler { return core.New() }
 
-// NewLoCMPSParallel returns the paper's algorithm with its probe pool
-// pinned to the given worker count: every placement run fans its
-// candidate-slot scans out over up to workers goroutines. Schedules are
-// bit-identical to NewLoCMPS — only where the work executes changes, never
-// what is scheduled. workers = 0 sizes the pool to GOMAXPROCS (the
-// NewLoCMPS default); 1 forces fully serial execution.
-func NewLoCMPSParallel(workers int) Scheduler { return core.NewParallel(workers) }
+// NewLoCMPSParallel returns NewLoCMPS() and ignores workers.
+//
+// Deprecated: LoC-MPS scans candidate slots serially, so there is no pool
+// to size. The function remains only because the frozen e2ebench module
+// still calls it.
+func NewLoCMPSParallel(workers int) Scheduler { return NewLoCMPS() }
 
 // NewLoCMPSReference returns LoC-MPS with every cross-run acceleration
-// switched off: no allocation-vector memo, no incremental placement resume
-// and no probe pool. It computes bit-identical
+// switched off: no allocation-vector memo and no incremental placement
+// resume. It computes bit-identical
 // schedules to NewLoCMPS by the direct (re-run everything) route, so it
 // serves as the correctness oracle in differential tests and as the
 // measurement baseline when cmd/benchjson re-baselines a case.

@@ -139,7 +139,6 @@ func Fig11(o AppOptions) (Figure, error) { return exp.Fig11(o) }
 func Extended(o SuiteOptions) (Figure, error) { return exp.Extended(o) }
 
 // SearchStatsFig profiles the LoC-MPS search layer across machine sizes:
-// placement-engine runs, look-ahead steps, allocation-memo hit rate,
-// incremental-resume and probe-pool accounting, averaged over the suite's
-// graphs.
+// placement-engine runs, look-ahead steps, allocation-memo hit rate and
+// incremental-resume accounting, averaged over the suite's graphs.
 func SearchStatsFig(o SuiteOptions) (Figure, error) { return exp.SearchStatsFigure(o) }
