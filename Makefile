@@ -150,13 +150,16 @@ stress:
 
 # Short fuzz passes over each fuzz target: the graph/format parsers, the
 # audit oracle, the SWF trace reader, the HTTP schedule POST path and the
-# disk L2 reader. ~49s total.
+# disk L2 schedule and winner readers. ~56s total. -fuzz takes a regex and
+# go test refuses to fuzz more than one matching target, so every pattern
+# is anchored.
 FUZZTIME ?= 7s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME) ./internal/model
-	$(GO) test -run '^$$' -fuzz FuzzReadSTG -fuzztime $(FUZZTIME) ./internal/formats
-	$(GO) test -run '^$$' -fuzz FuzzParseTGFF -fuzztime $(FUZZTIME) ./internal/formats
-	$(GO) test -run '^$$' -fuzz FuzzAudit -fuzztime $(FUZZTIME) ./internal/audit
-	$(GO) test -run '^$$' -fuzz FuzzReadSWF -fuzztime $(FUZZTIME) ./internal/jobsched
-	$(GO) test -run '^$$' -fuzz FuzzScheduleBody -fuzztime $(FUZZTIME) ./internal/serve/httpserve
-	$(GO) test -run '^$$' -fuzz FuzzDiskCacheGet -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSTG$$' -fuzztime $(FUZZTIME) ./internal/formats
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTGFF$$' -fuzztime $(FUZZTIME) ./internal/formats
+	$(GO) test -run '^$$' -fuzz '^FuzzAudit$$' -fuzztime $(FUZZTIME) ./internal/audit
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSWF$$' -fuzztime $(FUZZTIME) ./internal/jobsched
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduleBody$$' -fuzztime $(FUZZTIME) ./internal/serve/httpserve
+	$(GO) test -run '^$$' -fuzz '^FuzzDiskCacheGet$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDiskCacheGetWinner$$' -fuzztime $(FUZZTIME) ./internal/serve

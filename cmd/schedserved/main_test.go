@@ -123,3 +123,109 @@ func TestSlowHandlerOutlivesBodyTimeout(t *testing.T) {
 		}
 	}
 }
+
+// serveNode starts a loopback schedserved node with the built limits and
+// lets tune shorten them before it starts serving.
+func serveNode(t *testing.T, tune func(*http.Server)) (*httpserve.Server, string) {
+	t.Helper()
+	svc := serve.New(serve.Config{Shards: 1, WorkersPerShard: 1})
+	t.Cleanup(svc.Close)
+	node := httpserve.NewServer(svc, httpserve.ServerConfig{})
+	hs := newHTTPServer(node.Handler(), bodyReadTimeout)
+	tune(hs)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close() })
+	return node, ln.Addr().String()
+}
+
+// waitClosed reads from conn until the server closes it and reports how
+// long that took from start. A read that times out fails the test.
+func waitClosed(t *testing.T, conn net.Conn, start time.Time) time.Duration {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server never closed the connection")
+	}
+	return time.Since(start)
+}
+
+// TestSlowHeaderIsCutOff: a client that sends half a request line and
+// stalls is disconnected after the header timeout, without ever taking an
+// admission slot, while a well-formed request on another connection is
+// served in the meantime. The test shortens the header timeout to keep the
+// run short.
+func TestSlowHeaderIsCutOff(t *testing.T) {
+	const cut = 300 * time.Millisecond
+	node, addr := serveNode(t, func(hs *http.Server) { hs.ReadHeaderTimeout = cut })
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/sche"); err != nil {
+		t.Fatal(err)
+	}
+
+	body := `{"schema":"locmps/wire/v2","tasks":[{"et":[4,2]},{"et":[3,2]},{"et":[2]}],"edges":[{"from":0,"to":2,"volume":1e6}],"cluster":{"p":2,"bandwidth":1e6}}`
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post("http://"+addr+"/v1/schedule", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("well-formed request beside the stalled one answered %d, want 200", resp.StatusCode)
+	}
+	if in := node.Stats().Inflight; in != 0 {
+		t.Errorf("stalled header holds %d admission slots, want 0", in)
+	}
+
+	if elapsed := waitClosed(t, conn, start); elapsed < cut || elapsed > 5*time.Second {
+		t.Errorf("closed after %v, want soon after the %v header timeout", elapsed, cut)
+	}
+	if served := node.Stats().Served; served != 1 {
+		t.Errorf("Served = %d, want only the well-formed request", served)
+	}
+}
+
+// TestIdleConnectionIsClosed: a kept-alive connection that sends nothing
+// after its response is closed by the server once the idle timeout passes.
+// The test shortens the idle timeout to keep the run short.
+func TestIdleConnectionIsClosed(t *testing.T) {
+	const idle = 300 * time.Millisecond
+	_, addr := serveNode(t, func(hs *http.Server) { hs.IdleTimeout = idle })
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The server starts the idle clock only after it has written the
+	// response, so the close cannot come sooner than idle after this.
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: node\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Close {
+		t.Fatalf("healthz answered %d (close=%v), want a kept-alive 200", resp.StatusCode, resp.Close)
+	}
+
+	if elapsed := waitClosed(t, conn, start); elapsed < idle || elapsed > 5*time.Second {
+		t.Errorf("closed after %v, want soon after the %v idle timeout", elapsed, idle)
+	}
+}

@@ -846,16 +846,6 @@ func (e *placer) edgeCost(par int, vol float64, procs []int, procsHash uint64) f
 	if c, ok := sc.costCache.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
 		return c
 	}
-	// Fallback level behind the writable cache: the read-only cross-worker
-	// snapshot installed by Worker.UseShared for this (graph, cluster)
-	// content. Hits are promoted into the live cache so repeats stay one
-	// probe.
-	if sh := sc.costShared; sh != nil {
-		if c, ok := sh.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
-			sc.costCache.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
-			return c
-		}
-	}
 	c := e.rm.FastCostBuf(vol, src, procs, sc.costBuf)
 	sc.costCache.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
 	return c

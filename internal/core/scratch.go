@@ -59,14 +59,6 @@ type placerScratch struct {
 	// layouts thousands of times, so the same (model, volume, src, dst)
 	// queries recur long after the per-task ct memo has been reset.
 	costCache costCache
-	// costShared is an optional read-only second level behind costCache:
-	// an immutable snapshot of another worker's cost cache for the same
-	// (graph, cluster) content, installed by Worker.UseShared so
-	// concurrent serving workers share one warm copy instead of each
-	// recomputing the same redistribution costs from cold. Entries are
-	// keyed by their complete input, so consulting a snapshot can never
-	// return a stale or wrong cost.
-	costShared *costCache
 
 	// trace checkpoints the most recent recorded placement run against this
 	// scratch's live chart, enabling the next run to resume from the longest
@@ -356,24 +348,6 @@ func (c *costCache) lookup(hash uint64, vol, bb, bw float64, src, dst []int) (fl
 		}
 	}
 	return e.cost, true
-}
-
-// snapshot deep-copies the cache into an immutable read-only twin (nil
-// when the cache never stored anything). The copy shares no backing arrays
-// with the live cache, so the snapshot stays valid while the original
-// keeps mutating under its owning worker.
-func (c *costCache) snapshot() *costCache {
-	if c.ents == nil {
-		return nil
-	}
-	cp := make([]costEnt, len(c.ents))
-	copy(cp, c.ents)
-	for i := range cp {
-		if cp[i].ids != nil {
-			cp[i].ids = append([]int32(nil), cp[i].ids...)
-		}
-	}
-	return &costCache{ents: cp}
 }
 
 // store records a computed cost, overwriting whatever occupied the slot.

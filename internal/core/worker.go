@@ -72,54 +72,10 @@ func (w *Worker) ScheduleBudget(ctx context.Context, alg *LoCMPS, tg *model.Task
 	return alg.scheduleBudgetOn(ctx, w.sc, tg, cluster, b)
 }
 
-// SharedState is read-only warm state for one (graph, cluster) content
-// pair, shareable across concurrent workers: the graph's immutable model
-// tables (execution times, Pbest prefixes, concurrency ratios) and a
-// snapshot of a warm worker's content-keyed redistribution-cost cache.
-// Both are never mutated after capture, so any number of workers may
-// consult one SharedState concurrently without synchronization.
-//
-// The caller is responsible for only applying a SharedState to graphs with
-// identical content — the serving layer guarantees this by keying shared
-// states with content fingerprints.
-type SharedState struct {
-	// Tables is the graph's immutable execution-time/Pbest/concurrency
-	// cache, built once and adopted by every content-identical graph.
-	Tables *model.Tables
-	costs  *costCache
-}
-
-// CaptureShared snapshots the worker's warm state after a run on (tg,
-// cluster): the graph's tables (already built by the run) and a deep copy
-// of the pinned scratch's redistribution-cost cache. The snapshot is
-// immutable and safe to hand to any number of concurrent workers.
-func (w *Worker) CaptureShared(tg *model.TaskGraph, cluster model.Cluster) *SharedState {
-	return &SharedState{
-		Tables: tg.Tables(cluster.P),
-		costs:  w.sc.costCache.snapshot(),
-	}
-}
-
-// UseShared prepares the worker's next run to start warm from st: the
-// tables are adopted by tg (so the run skips the O(V·P) profile evaluation
-// and O(V²) concurrency sweep), and the cost snapshot serves as a
-// read-only second level behind the scratch's own cost cache. Passing nil
-// clears any previously installed shared state. tg must be
-// content-identical to the graph st was captured from.
-func (w *Worker) UseShared(st *SharedState, tg *model.TaskGraph) {
-	if st == nil {
-		w.sc.costShared = nil
-		return
-	}
-	tg.AdoptTables(st.Tables)
-	w.sc.costShared = st.costs
-}
-
 // Close surrenders the pinned scratch back to the shared pool. Calling
 // Close twice is safe; Schedule after Close is not.
 func (w *Worker) Close() {
 	if w.sc != nil {
-		w.sc.costShared = nil
 		putScratch(w.sc)
 		w.sc = nil
 	}

@@ -49,13 +49,12 @@ func (tb *Tables) Pbest(t, maxP int) int {
 // ConcurrencyRatio returns cr(t) of the paper's §III.C.
 func (tb *Tables) ConcurrencyRatio(t int) float64 { return tb.cr[t] }
 
-// AdoptTables installs a prebuilt Tables as this graph's cache, so a graph
-// arriving over a content-addressed path (the serving layer deserializes or
-// receives a fresh *TaskGraph per request) skips rebuilding tables another
-// request already paid for. The caller must guarantee tb was built from a
-// graph with identical content — same task profiles and same DAG structure
-// — which the serving layer does by keying shared tables with content
-// fingerprints; AdoptTables itself can only check shape. Adoption is
+// AdoptTables installs a prebuilt Tables as this graph's cache, so the
+// graph skips rebuilding tables the caller already paid for (the streaming
+// scheduler installs ConcatTables results on its combined graphs). The
+// caller must guarantee tb was built for a graph with identical content —
+// same task profiles and same DAG structure — as ConcatTables does;
+// AdoptTables itself can only check shape. Adoption is
 // skipped (returning false) when tb is nil, covers a different task count,
 // or is no wider than tables the graph already has.
 func (tg *TaskGraph) AdoptTables(tb *Tables) bool {

@@ -3,9 +3,8 @@ package serve
 // Service-level tests for the anytime/cancellation surface: context
 // cancellation frees worker slots with ctx.Err(), deterministic
 // MaxIterations budgets cache and coalesce like full runs (truncation flag
-// included), wall-clock deadline runs bypass the cache entirely, and the
-// cross-request shared-state registry reports hits once an instance has
-// been seen.
+// included), wall-clock deadline runs bypass the cache entirely, and one
+// instance under two option sets schedules bit-identically to direct runs.
 
 import (
 	"context"
@@ -182,64 +181,36 @@ func TestAnytimeUnsupported(t *testing.T) {
 	}
 }
 
-// TestSharedStateRegistry: two cold runs of the same instance under
-// different options share one StateKey — the second must start warm from
-// the registry and still schedule bit-identically to a direct run.
+// TestSharedStateRegistry: the cross-request shared-state registry is
+// gone, so one instance asked for under two option sets runs twice from
+// each worker's own warm scratch. Both results must stay bit-identical to
+// direct runs, whichever shard each lands on, and the deprecated
+// SharedState counters must read 0.
 func TestSharedStateRegistry(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Shards: 2, WorkersPerShard: 1})
 	defer svc.Close()
 	g, c := testGraph(t, 30, 907), testClusterP(16)
 
-	// Different LookAheadDepth → different fingerprints (two cold runs),
-	// same instance → same StateKey.
-	reqA := Request{Graph: g, Cluster: c}
-	reqB := Request{Graph: g, Cluster: c, Options: Options{LookAheadDepth: 10}}
-	ka, _ := reqA.StateKey()
-	kb, _ := reqB.StateKey()
-	if ka != kb {
-		t.Fatal("same instance produced different state keys")
+	// Different LookAheadDepth → different fingerprints: two cold runs of
+	// one instance.
+	reqs := []Request{
+		{Graph: g, Cluster: c},
+		{Graph: g, Cluster: c, Options: Options{LookAheadDepth: 10}},
 	}
-
-	sa, err := svc.Schedule(reqA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := svc.Schedule(reqB)
-	if err != nil {
-		t.Fatal(err)
+	for i, req := range reqs {
+		got, err := svc.Schedule(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := equalSchedules(got, directRun(t, req), len(g.Edges())); d != "" {
+			t.Errorf("request %d diverged from a direct run: %s", i, d)
+		}
 	}
 	st := svc.Stats()
-	if st.SharedStateMisses == 0 || st.SharedStateHits == 0 {
-		t.Fatalf("shared-state registry unused: %+v", st)
+	if st.Scheduled != 2 {
+		t.Errorf("Scheduled = %d, want 2 cold runs", st.Scheduled)
 	}
-
-	// Warm-started schedules stay bit-identical to cold direct runs.
-	if d := equalSchedules(sa, directRun(t, reqA), len(g.Edges())); d != "" {
-		t.Errorf("first run diverged from direct: %s", d)
-	}
-	if d := equalSchedules(sb, directRun(t, reqB), len(g.Edges())); d != "" {
-		t.Errorf("warm-started run diverged from direct: %s", d)
-	}
-}
-
-// TestStateRegistryBound: the FIFO registry never exceeds its capacity.
-func TestStateRegistryBound(t *testing.T) {
-	var r stateRegistry
-	r.init(2)
-	mk := func(b byte) Key { var k Key; k[0] = b; return k }
-	st := &core.SharedState{}
-	for b := byte(1); b <= 5; b++ {
-		r.put(mk(b), st)
-	}
-	if len(r.m) != 2 || len(r.fifo) != 2 {
-		t.Fatalf("registry grew past its bound: %d entries", len(r.m))
-	}
-	if r.get(mk(1)) != nil || r.get(mk(5)) == nil {
-		t.Error("FIFO eviction order wrong: oldest should be gone, newest present")
-	}
-	// Refreshing an existing key must not consume a slot.
-	r.put(mk(5), st)
-	if len(r.fifo) != 2 {
-		t.Errorf("refresh consumed a FIFO slot: %d", len(r.fifo))
+	if st.SharedStateHits != 0 || st.SharedStateMisses != 0 {
+		t.Errorf("deprecated SharedState counters moved: hits %d, misses %d", st.SharedStateHits, st.SharedStateMisses)
 	}
 }

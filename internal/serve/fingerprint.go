@@ -168,22 +168,6 @@ func (r Request) Fingerprint() (Key, error) {
 	return h.sum(), nil
 }
 
-// StateKey is the content address of the (graph, cluster) instance alone,
-// options excluded. Requests that share a StateKey consult identical
-// execution-time curves and move identical data volumes, so they can share
-// read-only warm state — model tables and redistribution-cost snapshots —
-// no matter which algorithm, knobs or budget each asked for. Equal
-// Fingerprints imply equal StateKeys, never the reverse.
-func (r Request) StateKey() (Key, error) {
-	if err := r.validate(); err != nil {
-		return Key{}, err
-	}
-	h := newKeyHasher()
-	h.raw("locmps/serve/state/v1")
-	h.instance(r.Graph, r.Cluster)
-	return h.sum(), nil
-}
-
 // validate rejects requests no key can be computed for.
 func (r Request) validate() error {
 	if r.Graph == nil || r.Graph.N() == 0 {
@@ -208,8 +192,7 @@ func (r Request) validate() error {
 }
 
 // keyHasher streams the canonical encoding of request components into a
-// SHA-256 digest; Fingerprint and StateKey share it so the instance part of
-// both keys is hashed by the same code.
+// SHA-256 digest.
 type keyHasher struct {
 	h   hash.Hash
 	buf []byte

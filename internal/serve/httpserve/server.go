@@ -332,14 +332,17 @@ func (s *Server) failSchedule(w http.ResponseWriter, ctx context.Context, err er
 // plus this HTTP layer's admission numbers. Field names are stable —
 // loadgen and ops tooling parse them.
 type NodeStats struct {
-	Requests          uint64 `json:"requests"`
-	CacheHits         uint64 `json:"cache_hits"`
-	Coalesced         uint64 `json:"coalesced"`
-	Scheduled         uint64 `json:"scheduled"`
-	Failed            uint64 `json:"failed"`
-	Rejected          uint64 `json:"rejected"`
-	Cancelled         uint64 `json:"cancelled"`
-	Completed         uint64 `json:"completed"`
+	Requests  uint64 `json:"requests"`
+	CacheHits uint64 `json:"cache_hits"`
+	Coalesced uint64 `json:"coalesced"`
+	Scheduled uint64 `json:"scheduled"`
+	Failed    uint64 `json:"failed"`
+	Rejected  uint64 `json:"rejected"`
+	Cancelled uint64 `json:"cancelled"`
+	Completed uint64 `json:"completed"`
+	// Deprecated: SharedStateHits and SharedStateMisses are always 0, like
+	// the serve.Stats fields they mirrored. They remain only because the
+	// frozen e2ebench module still reads them.
 	SharedStateHits   uint64 `json:"shared_state_hits"`
 	SharedStateMisses uint64 `json:"shared_state_misses"`
 	L2Hits            uint64 `json:"l2_hits"`
@@ -369,31 +372,29 @@ type NodeStats struct {
 func (s *Server) Stats() NodeStats {
 	st := s.svc.Stats()
 	return NodeStats{
-		Requests:          st.Requests,
-		CacheHits:         st.CacheHits,
-		Coalesced:         st.Coalesced,
-		Scheduled:         st.Scheduled,
-		Failed:            st.Failed,
-		Rejected:          st.Rejected,
-		Cancelled:         st.Cancelled,
-		Completed:         st.Completed,
-		SharedStateHits:   st.SharedStateHits,
-		SharedStateMisses: st.SharedStateMisses,
-		L2Hits:            st.L2Hits,
-		L2Misses:          st.L2Misses,
-		L2Writes:          st.L2Writes,
-		Evictions:         st.Evictions,
-		CacheEntries:      st.CacheEntries,
-		Shards:            st.Shards,
-		Workers:           st.Workers,
-		UptimeNS:          st.Uptime.Nanoseconds(),
-		P50NS:             st.P50.Nanoseconds(),
-		P99NS:             st.P99.Nanoseconds(),
-		Served:            s.served.Load(),
-		Shed:              s.shed.Load(),
-		Inflight:          s.inflight.Load(),
-		MaxInflight:       s.cfg.MaxInflight,
-		RespCacheHits:     s.respHits.Load(),
+		Requests:      st.Requests,
+		CacheHits:     st.CacheHits,
+		Coalesced:     st.Coalesced,
+		Scheduled:     st.Scheduled,
+		Failed:        st.Failed,
+		Rejected:      st.Rejected,
+		Cancelled:     st.Cancelled,
+		Completed:     st.Completed,
+		L2Hits:        st.L2Hits,
+		L2Misses:      st.L2Misses,
+		L2Writes:      st.L2Writes,
+		Evictions:     st.Evictions,
+		CacheEntries:  st.CacheEntries,
+		Shards:        st.Shards,
+		Workers:       st.Workers,
+		UptimeNS:      st.Uptime.Nanoseconds(),
+		P50NS:         st.P50.Nanoseconds(),
+		P99NS:         st.P99.Nanoseconds(),
+		Served:        s.served.Load(),
+		Shed:          s.shed.Load(),
+		Inflight:      s.inflight.Load(),
+		MaxInflight:   s.cfg.MaxInflight,
+		RespCacheHits: s.respHits.Load(),
 	}
 }
 

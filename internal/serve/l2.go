@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"locmps/internal/audit"
+	"locmps/internal/sched"
 	"locmps/internal/schedule"
 )
 
@@ -236,7 +237,9 @@ func (c *DiskCache) winnerPath(hex string) string {
 
 // GetWinner implements WinnerStore: it loads the engine name recorded for a
 // portfolio fingerprint. Every failure mode — absent, unreadable, torn or
-// drifted record — is a miss; corrupt records are deleted.
+// drifted record — is a miss; corrupt records are deleted. A well-formed
+// record naming an engine this build does not register (a foreign or stale
+// record) is a miss too, left for the next race's PutWinner to overwrite.
 func (c *DiskCache) GetWinner(key Key) (string, bool) {
 	path := c.winnerPath(HexKey(key))
 	data, err := os.ReadFile(path)
@@ -247,6 +250,9 @@ func (c *DiskCache) GetWinner(key Key) (string, bool) {
 	if err := json.Unmarshal(data, &w); err != nil || w.Schema != winnerSchema || w.Engine == "" {
 		os.Remove(path)
 		c.corrupt.Add(1)
+		return "", false
+	}
+	if !sched.Known(w.Engine) {
 		return "", false
 	}
 	return w.Engine, true

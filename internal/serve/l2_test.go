@@ -12,6 +12,7 @@ import (
 	"locmps/internal/audit"
 	"locmps/internal/core"
 	"locmps/internal/model"
+	"locmps/internal/sched"
 )
 
 func l2Request(t *testing.T, tasks int, seed int64) Request {
@@ -235,6 +236,39 @@ func FuzzDiskCacheGet(f *testing.F) {
 		}
 		if err := audit.Check(req.Graph, got, audit.Options{}).Err(); err != nil {
 			t.Fatalf("hit fails the audit: %v", err)
+		}
+	})
+}
+
+// FuzzDiskCacheGetWinner stores arbitrary bytes as the winner record of a
+// portfolio key. GetWinner must never panic, and any hit must name an
+// engine the registry knows, so a tampered record can at worst cost a
+// re-race.
+func FuzzDiskCacheGetWinner(f *testing.F) {
+	dir := f.TempDir()
+	dc, err := OpenDiskCache(dir, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var key Key
+	dc.PutWinner(key, "CPA")
+	path := dc.winnerPath(HexKey(key))
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(strings.Replace(string(valid), `"CPA"`, `"NOPE"`, 1)))
+	f.Add([]byte(strings.Replace(string(valid), `"CPA"`, `""`, 1)))
+	f.Add([]byte(strings.Replace(string(valid), `winner/v1`, `winner/v0`, 1)))
+	f.Add([]byte("{"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if name, ok := dc.GetWinner(key); ok && !sched.Known(name) {
+			t.Fatalf("hit names unknown engine %q", name)
 		}
 	})
 }

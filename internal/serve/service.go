@@ -109,7 +109,6 @@ type Service struct {
 	start  time.Time
 	closed atomic.Bool
 
-	states  stateRegistry
 	winners winnerRegistry
 
 	requests       atomic.Uint64
@@ -124,8 +123,6 @@ type Service struct {
 	cancelled      atomic.Uint64
 	evictions      atomic.Uint64
 	completed      atomic.Uint64
-	sharedHits     atomic.Uint64
-	sharedMisses   atomic.Uint64
 	l2Hits         atomic.Uint64
 	l2Misses       atomic.Uint64
 	l2Writes       atomic.Uint64
@@ -172,7 +169,6 @@ type job struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{cfg: cfg, start: time.Now(), lat: latring.New(latWindow)}
-	s.states.init(sharedStateCap)
 	s.winners.init(winnerCap)
 	perShard := cfg.CacheEntries / cfg.Shards
 	if perShard < 1 {
@@ -454,34 +450,22 @@ func (s *Service) runJob(cw *core.Worker, algs map[Options]schedule.Engine, jb *
 		res, err = lm.ScheduleDual(jb.req.Graph, jb.req.Cluster)
 		return res, false, err
 	}
-	// Start warm from any shared state another worker captured for this
-	// (graph, cluster) content, and leave a (possibly warmer) snapshot
-	// behind for the next one.
-	skey, kerr := jb.req.StateKey()
-	if kerr == nil {
-		if st := s.states.get(skey); st != nil {
-			cw.UseShared(st, jb.req.Graph)
-			s.sharedHits.Add(1)
-		} else {
-			s.sharedMisses.Add(1)
-		}
-		defer cw.UseShared(nil, nil)
-	}
-	b := core.Budget{MaxIterations: o.MaxIterations, Deadline: jb.deadline}
+	return runOnWorker(cw, jb, lm, core.Budget{MaxIterations: o.MaxIterations, Deadline: jb.deadline})
+}
+
+// runOnWorker runs lm's search on the worker's pinned scratch, whose
+// content-keyed cost cache stays warm across the worker's requests. A set
+// budget switches to the anytime search, which may return a truncated
+// best-so-far schedule.
+func runOnWorker(cw *core.Worker, jb *job, lm *core.LoCMPS, b core.Budget) (*schedule.Schedule, bool, error) {
 	if b.MaxIterations > 0 || !b.Deadline.IsZero() {
-		ar, aerr := cw.ScheduleBudget(jb.ctx, lm, jb.req.Graph, jb.req.Cluster, b)
-		if aerr != nil {
-			return nil, false, aerr
-		}
-		if kerr == nil {
-			s.states.put(skey, cw.CaptureShared(jb.req.Graph, jb.req.Cluster))
+		ar, err := cw.ScheduleBudget(jb.ctx, lm, jb.req.Graph, jb.req.Cluster, b)
+		if err != nil {
+			return nil, false, err
 		}
 		return ar.Schedule, ar.Truncated, nil
 	}
-	res, err = cw.ScheduleContext(jb.ctx, lm, jb.req.Graph, jb.req.Cluster)
-	if err == nil && kerr == nil {
-		s.states.put(skey, cw.CaptureShared(jb.req.Graph, jb.req.Cluster))
-	}
+	res, err := cw.ScheduleContext(jb.ctx, lm, jb.req.Graph, jb.req.Cluster)
 	return res, false, err
 }
 
@@ -490,7 +474,7 @@ func (s *Service) runJob(cw *core.Worker, algs map[Options]schedule.Engine, jb *
 // engine's name is committed to the winner cache — in memory and, when the
 // L2 implements WinnerStore, on disk, so the routing survives restarts.
 // Repeat traffic for the fingerprint runs ONLY the winning engine: one
-// search instead of N, with the usual warm shared state when the winner is
+// search instead of N, on the worker's warm scratch when the winner is
 // LoC-MPS-family.
 //
 // Only untruncated races commit a winner. A deadline-shaped race can crown
@@ -519,9 +503,9 @@ func (s *Service) runPortfolio(cw *core.Worker, jb *job) (*schedule.Schedule, bo
 }
 
 // runWinner runs the recorded winning engine alone for a portfolio job.
-// LoC-MPS-family winners go through the worker's warm scratch and the
-// shared-state registry exactly like single-engine requests; one-shot
-// engines run fresh. The deadline still truncates an anytime winner.
+// LoC-MPS-family winners go through the worker's warm scratch exactly like
+// single-engine requests; one-shot engines run fresh. The deadline still
+// truncates an anytime winner.
 func (s *Service) runWinner(cw *core.Worker, jb *job, winner string) (*schedule.Schedule, bool, error) {
 	alg, err := sched.ByName(winner)
 	if err != nil {
@@ -532,31 +516,7 @@ func (s *Service) runWinner(cw *core.Worker, jb *job, winner string) (*schedule.
 		res, err := alg.ScheduleContext(jb.ctx, jb.req.Graph, jb.req.Cluster)
 		return res, false, err
 	}
-	skey, kerr := jb.req.StateKey()
-	if kerr == nil {
-		if st := s.states.get(skey); st != nil {
-			cw.UseShared(st, jb.req.Graph)
-			s.sharedHits.Add(1)
-		} else {
-			s.sharedMisses.Add(1)
-		}
-		defer cw.UseShared(nil, nil)
-	}
-	if !jb.deadline.IsZero() {
-		ar, err := cw.ScheduleBudget(jb.ctx, lm, jb.req.Graph, jb.req.Cluster, core.Budget{Deadline: jb.deadline})
-		if err != nil {
-			return nil, false, err
-		}
-		if kerr == nil {
-			s.states.put(skey, cw.CaptureShared(jb.req.Graph, jb.req.Cluster))
-		}
-		return ar.Schedule, ar.Truncated, nil
-	}
-	res, err := cw.ScheduleContext(jb.ctx, lm, jb.req.Graph, jb.req.Cluster)
-	if err == nil && kerr == nil {
-		s.states.put(skey, cw.CaptureShared(jb.req.Graph, jb.req.Cluster))
-	}
-	return res, false, err
+	return runOnWorker(cw, jb, lm, core.Budget{Deadline: jb.deadline})
 }
 
 // WinnerStore is the optional persistence hook for the portfolio winner
@@ -638,50 +598,6 @@ func (r *winnerRegistry) put(k Key, name string) {
 	r.m[k] = name
 }
 
-// sharedStateCap bounds the shared-state registry: each entry holds one
-// graph's tables plus one cost-cache snapshot, so the registry is a small
-// working set of recently scheduled instances, not a second result cache.
-const sharedStateCap = 64
-
-// stateRegistry shares read-only core.SharedState across all workers,
-// keyed by instance content (Request.StateKey). Entries are never stale —
-// the key covers every input the state depends on — so eviction is plain
-// FIFO over first insertion.
-type stateRegistry struct {
-	mu   sync.Mutex
-	max  int
-	m    map[Key]*core.SharedState
-	fifo []Key
-}
-
-func (r *stateRegistry) init(max int) {
-	r.max = max
-	r.m = make(map[Key]*core.SharedState, max)
-}
-
-func (r *stateRegistry) get(k Key) *core.SharedState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.m[k]
-}
-
-// put installs (or refreshes — later snapshots are warmer) the state for k.
-func (r *stateRegistry) put(k Key, st *core.SharedState) {
-	if st == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.m[k]; !ok {
-		if len(r.fifo) >= r.max {
-			delete(r.m, r.fifo[0])
-			r.fifo = r.fifo[1:]
-		}
-		r.fifo = append(r.fifo, k)
-	}
-	r.m[k] = st
-}
-
 // buildScheduler materializes the scheduler for normalized options.
 func buildScheduler(o Options) (schedule.Engine, error) {
 	alg, err := sched.ByName(o.Algorithm)
@@ -738,10 +654,9 @@ type Stats struct {
 	// jobs routed straight to the cached winning engine (one search instead
 	// of N); WinnerMisses counts portfolio jobs that had to race.
 	PortfolioRaces, WinnerHits, WinnerMisses uint64
-	// SharedStateHits counts cold LoC-MPS runs that started warm from the
-	// cross-request shared-state registry (adopted model tables plus a
-	// read-only cost-cache snapshot); SharedStateMisses counts cold runs
-	// for instances no worker had seen yet.
+	// Deprecated: SharedStateHits and SharedStateMisses are always 0; no
+	// state is shared across workers. The fields remain only because the
+	// frozen e2ebench module still reads them.
 	SharedStateHits, SharedStateMisses uint64
 	// L2Hits counts cacheable cold jobs answered from the second-level
 	// cache instead of a search; L2Misses counts the probes that fell
@@ -785,17 +700,15 @@ func (s *Service) Stats() Stats {
 		Completed: s.completed.Load(),
 		Evictions: s.evictions.Load(),
 
-		PortfolioRaces:    s.portfolioRaces.Load(),
-		WinnerHits:        s.winnerHits.Load(),
-		WinnerMisses:      s.winnerMisses.Load(),
-		SharedStateHits:   s.sharedHits.Load(),
-		SharedStateMisses: s.sharedMisses.Load(),
-		L2Hits:            s.l2Hits.Load(),
-		L2Misses:          s.l2Misses.Load(),
-		L2Writes:          s.l2Writes.Load(),
-		Shards:            len(s.shards),
-		Workers:           len(s.shards) * s.cfg.WorkersPerShard,
-		Uptime:            time.Since(s.start),
+		PortfolioRaces: s.portfolioRaces.Load(),
+		WinnerHits:     s.winnerHits.Load(),
+		WinnerMisses:   s.winnerMisses.Load(),
+		L2Hits:         s.l2Hits.Load(),
+		L2Misses:       s.l2Misses.Load(),
+		L2Writes:       s.l2Writes.Load(),
+		Shards:         len(s.shards),
+		Workers:        len(s.shards) * s.cfg.WorkersPerShard,
+		Uptime:         time.Since(s.start),
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()

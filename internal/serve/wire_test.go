@@ -425,19 +425,6 @@ func TestPortfolioFingerprint(t *testing.T) {
 		Portfolio: []string{"CPR"}, Options: Options{Algorithm: "CPA"}}).Fingerprint(); err == nil {
 		t.Fatal("portfolio request with options accepted")
 	}
-	// StateKey is instance-only: portfolio and single requests share warm
-	// state for the same (graph, cluster).
-	sk1, err := (Request{Graph: tg, Cluster: c}).StateKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk2, err := (Request{Graph: tg, Cluster: c, Portfolio: []string{"CPR", "CPA"}}).StateKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sk1 != sk2 {
-		t.Fatal("StateKey depends on the portfolio list; it must be instance-only")
-	}
 }
 
 // TestParseKey round-trips fingerprints through their hex form.
