@@ -46,9 +46,13 @@ race-core:
 	GOMAXPROCS=2 $(GO) test -count=1 ./...
 
 # A single iteration of each mid-scale scheduler benchmark: catches gross
-# regressions and asserts the hot path still runs end to end.
+# regressions and asserts the hot path still runs end to end. The
+# baseline-engine and service-priming cases time M-HEFT's multi-width
+# scan, CPA's allocation phase and a node priming the zipf key mix.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLoCMPS(30Tasks16Procs|50Tasks64Procs)' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'Benchmark(MHEFT64Tasks64Procs|CPA40Tasks64Procs)' -benchtime 1x -benchmem ./internal/sched
+	$(GO) test -run '^$$' -bench 'BenchmarkServicePrime' -benchtime 1x -benchmem ./internal/serve
 
 # Refresh the "current" snapshot in BENCH_locmps.json (the baseline inside
 # is preserved).

@@ -558,7 +558,7 @@ func throughputCase(workers int, cfg config) (Result, error) {
 	})
 	defer svc.Close()
 
-	// Oversubscribe the submitters slightly so every shard queue stays fed.
+	// Oversubscribe the submitters slightly so every worker stays fed.
 	concurrency := 2 * workers
 	coldWall, coldLats, err := drive(svc, reqs, 1, concurrency)
 	if err != nil {

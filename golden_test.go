@@ -116,6 +116,36 @@ func goldenWorkloads(t testing.TB) []goldenCase {
 			tg:   strassen, c: c, run: sched(locmps.NewLoCMPS()),
 		})
 	}
+	// The one-shot baselines: M-HEFT scans every width up to the task's
+	// saturation point (at 64 tasks on P=64 that is dozens of widths per
+	// placement), CPA grows allocations along the critical path before one
+	// LoCBS run.
+	wide := func(tasks int, ccr float64, seed int64) *locmps.TaskGraph {
+		wp := locmps.DefaultSynthParams()
+		wp.Tasks, wp.CCR, wp.Seed = tasks, ccr, seed
+		tg, err := locmps.SyntheticSeriesParallel(wp)
+		if err != nil {
+			t.Fatalf("series-parallel %d: %v", tasks, err)
+		}
+		return tg
+	}
+	sp64, sp40 := wide(64, 0.1, 2006), wide(40, 1, 2007)
+	c64 := locmps.Cluster{P: 64, Bandwidth: p.Bandwidth, Overlap: true}
+	cells = append(cells,
+		cell{name: "synthetic-g0-P8-M-HEFT", tg: graphs[0], c: cVar, run: sched(locmps.NewMHEFT())},
+		cell{name: "synthetic-g1-P8-noOverlap-M-HEFT", tg: graphs[1],
+			c:   locmps.Cluster{P: 8, Bandwidth: p.Bandwidth, Overlap: false},
+			run: sched(locmps.NewMHEFT())},
+		cell{name: "ccsd-P32-M-HEFT", tg: ccsd,
+			c:   locmps.Cluster{P: 32, Bandwidth: locmps.MyrinetBandwidth, Overlap: true},
+			run: sched(locmps.NewMHEFT())},
+		cell{name: "sp64-P64-M-HEFT", tg: sp64, c: c64, run: sched(locmps.NewMHEFT())},
+		cell{name: "synthetic-g2-P16-CPA", tg: graphs[2],
+			c:   locmps.Cluster{P: 16, Bandwidth: p.Bandwidth, Overlap: true},
+			run: sched(locmps.NewCPA())},
+		cell{name: "sp40-P64-CPA", tg: sp40, c: c64, run: sched(locmps.NewCPA())},
+		cell{name: "sp64-P64-CPA", tg: sp64, c: c64, run: sched(locmps.NewCPA())},
+	)
 
 	out := make([]goldenCase, 0, len(cells))
 	for _, cl := range cells {

@@ -229,6 +229,17 @@ func (c *chart) frontier(proc int) float64 {
 // (the start of the next busy interval, or +Inf). In no-backfill mode a
 // processor is only "free" from its frontier onward.
 func (c *chart) freeAt(proc int, t float64) (until float64, free bool) {
+	k := -1
+	return c.idleUntil(proc, t, &k)
+}
+
+// idleUntil is freeAt with a resumable busy-list cursor: *k is the index of
+// the first interval starting after the previous probe's time, or -1 for an
+// unprobed processor, whose first probe binary-searches instead of scanning
+// the whole list (tasks place late, lists are deep). Probe times for one
+// cursor must not decrease. The no-backfill test reads only the frontier
+// and leaves the cursor alone.
+func (c *chart) idleUntil(proc int, t float64, k *int) (until float64, free bool) {
 	if !c.backfill {
 		if t < c.frontier(proc)-1e-12 {
 			return 0, false
@@ -237,14 +248,30 @@ func (c *chart) freeAt(proc int, t float64) (until float64, free bool) {
 	}
 	list := c.busy[proc]
 	// First interval with start > t.
-	pos := sort.Search(len(list), func(i int) bool { return list[i].start > t })
-	if pos > 0 && list[pos-1].end > t+1e-12 {
+	i := *k
+	if i < 0 {
+		lo, hi := 0, len(list)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); list[mid].start <= t {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		i = lo
+	} else {
+		for i < len(list) && list[i].start <= t {
+			i++
+		}
+	}
+	*k = i
+	if i > 0 && list[i-1].end > t+1e-12 {
 		return 0, false // inside the previous interval
 	}
-	if pos == len(list) {
+	if i == len(list) {
 		return infinity, true
 	}
-	return list[pos].start, true
+	return list[i].start, true
 }
 
 // candidateTimes returns the sorted distinct times >= est at which the set

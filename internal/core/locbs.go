@@ -468,32 +468,44 @@ func (e *placer) place(tp int) (attempt, error) {
 	endsFrom := sort.SearchFloat64s(ends, maxParentFt)
 	minF := e.minFactor()
 
+	// Every width walks the same candidate times. When several widths are
+	// scanned, the slot table answers tryAt's first fixed-point round for
+	// each (width, time) cell without probing the chart, and the cells that
+	// provably fail are skipped. A skipped tryAt would only have advanced
+	// busy-list cursors (never past a later probe's position) and refilled
+	// buffers that every call resets, so schedules are bit-identical.
+	table := len(widths) > 1
+	if table {
+		sc.slots.reset(e.cluster.P)
+	}
+
 	var best attempt
 	bestOK := false
 	for _, n := range widths {
 		et := e.tb.ExecTime(tp, n)
 		etFastest := et * minF
 		// Candidate times ascend within a width, so each processor's busy
-		// list is walked with a resumable cursor: -1 marks an unprobed
-		// processor, whose first probe binary-searches instead of scanning
-		// the whole list up to tau (tasks place late, lists are deep).
+		// list is walked with a resumable cursor (see chart.idleUntil).
 		sc.posBuf = resetIntsTo(sc.posBuf, e.cluster.P, -1)
 		tau, idx := maxParentFt, endsFrom
-		for {
+		for row := 0; ; row++ {
 			if bestOK && tau+etFastest >= best.finish {
 				break // later slots can only finish later
 			}
-			att, ok, err := e.tryAt(tp, tau, n, et, parents, maxParentFt)
-			if err != nil {
-				return attempt{}, err
-			}
-			if ok && (!bestOK || att.finish < best.finish-schedule.Eps) {
-				// Keep the improvement in the dedicated best-buffers; att's
-				// slices alias per-round scratch that the next probe reuses.
-				sc.bestProcs = append(sc.bestProcs[:0], att.procs...)
-				sc.bestComm = append(sc.bestComm[:0], att.comm...)
-				att.procs, att.comm = sc.bestProcs, sc.bestComm
-				best, bestOK = att, true
+			if !table || sc.slots.fits(&sc.chart, row, tau, n, et) {
+				att, ok, err := e.tryAt(tp, tau, n, et, parents, maxParentFt)
+				if err != nil {
+					return attempt{}, err
+				}
+				if ok && (!bestOK || att.finish < best.finish-schedule.Eps) {
+					// Keep the improvement in the dedicated best-buffers;
+					// att's slices alias per-round scratch that the next
+					// probe reuses.
+					sc.bestProcs = append(sc.bestProcs[:0], att.procs...)
+					sc.bestComm = append(sc.bestComm[:0], att.comm...)
+					att.procs, att.comm = sc.bestProcs, sc.bestComm
+					best, bestOK = att, true
+				}
 			}
 			// Advance to the next distinct boundary after tau.
 			for idx < len(ends) && ends[idx] <= tau {
@@ -514,6 +526,44 @@ func (e *placer) place(tp int) (attempt, error) {
 		e.np[tp] = len(best.procs)
 	}
 	return best, nil
+}
+
+// slotTable holds, for each candidate time of the placement in progress,
+// the idle-until values of the processors idle at that time, ascending.
+// Rows are built on demand in candidate-time order: the r-th time is the
+// same for every width, so the first width whose walk reaches it builds
+// row r and later widths read it.
+type slotTable struct {
+	off   []int32 // row r is until[off[r]:off[r+1]]
+	until []float64
+	cur   []int // per-processor busy-list cursor, advanced row by row
+}
+
+func (st *slotTable) reset(p int) {
+	st.off = append(st.off[:0], 0)
+	st.until = st.until[:0]
+	st.cur = resetIntsTo(st.cur, p, -1)
+}
+
+// fits reports whether at least n processors idle at tau stay idle until
+// tau+et, within Eps. That is exactly the condition for tryAt's first
+// round to fill its subset (it tests the same processors with the same
+// comparisons, in preference order), so a false answer is a tryAt that
+// fails without reaching timeOn. With the row sorted, the check is one
+// comparison against its n-th largest value.
+func (st *slotTable) fits(ch *chart, row int, tau float64, n int, et float64) bool {
+	if row == len(st.off)-1 {
+		for id := range ch.p {
+			if until, idle := ch.idleUntil(id, tau, &st.cur[id]); idle {
+				st.until = append(st.until, until)
+			}
+		}
+		slices.Sort(st.until[st.off[row]:])
+		st.off = append(st.off, int32(len(st.until)))
+	}
+	r := st.until[st.off[row]:st.off[row+1]]
+	need := tau + et
+	return len(r) >= n && r[len(r)-n] >= need-schedule.Eps
 }
 
 // freeProc is one idle processor during a candidate slot.
@@ -642,13 +692,12 @@ func (e *placer) tryAt(tp int, tau float64, n int, et float64, parents []model.A
 	// preference order only until the subset is filled, so a task needing
 	// n processors rarely touches more than the first ~n chart columns.
 	// Skipped processors keep valid cursors because probe times never
-	// decrease within a width. The probe itself is freeAt with the binary
-	// search replaced by the resumable per-processor cursor.
+	// decrease within a width; chart.idleUntil resumes each processor's
+	// busy-list cursor.
 	sc := e.sc
 	pref := e.pref
 	ch := &sc.chart
 	cur := sc.posBuf
-	backfill := ch.backfill
 	free := sc.freeBuf[:0]
 	next := 0 // next preference-order processor not yet probed
 
@@ -662,45 +711,9 @@ func (e *placer) tryAt(tp int, tau float64, n int, et float64, parents []model.A
 			for i >= len(free) && next < len(pref) {
 				id := int(pref[next])
 				next++
-				list := ch.busy[id]
-				if !backfill {
-					f := 0.0
-					if len(list) > 0 {
-						f = list[len(list)-1].end
-					}
-					if tau >= f-1e-12 {
-						free = append(free, freeProc{id: id, until: infinity})
-					}
-					continue
+				if until, idle := ch.idleUntil(id, tau, &cur[id]); idle {
+					free = append(free, freeProc{id: id, until: until})
 				}
-				// First interval with start > tau: binary search on the
-				// first probe, then resume from the previous position
-				// (probe times never decrease within a width).
-				k := cur[id]
-				if k < 0 {
-					lo, hi := 0, len(list)
-					for lo < hi {
-						if mid := int(uint(lo+hi) >> 1); list[mid].start <= tau {
-							lo = mid + 1
-						} else {
-							hi = mid
-						}
-					}
-					k = lo
-				} else {
-					for k < len(list) && list[k].start <= tau {
-						k++
-					}
-				}
-				cur[id] = k
-				if k > 0 && list[k-1].end > tau+1e-12 {
-					continue // inside the previous interval
-				}
-				until := infinity
-				if k < len(list) {
-					until = list[k].start
-				}
-				free = append(free, freeProc{id: id, until: until})
 			}
 			if i >= len(free) {
 				break // every idle processor considered

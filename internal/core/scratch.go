@@ -39,6 +39,9 @@ type placerScratch struct {
 	// ct memoizes the tau-independent communication charges of the
 	// processor sets recently probed for the task being placed.
 	ct ctMemo
+	// slots is the adaptive-width placement's per-candidate-time table of
+	// idle-until values (see slotTable).
+	slots slotTable
 	// Per-task preference-order cache: prefScores/prefOrder hold one row
 	// of P entries per task, valid while prefValid[t] and the task's score
 	// vector is unchanged. The sorted order is a pure function of the

@@ -135,7 +135,11 @@ func (d *DAG) TopoOrder() ([]int, error) {
 	// Min-ordered frontier for determinism. A simple sorted slice is fine
 	// at the graph sizes mixed-parallel applications exhibit (tens of
 	// vertices); correctness does not depend on the ordering.
-	return topoOrderInto(d, nil, nil, make([]int, 0, d.n))
+	s := PathScratch{order: make([]int, 0, d.n)}
+	if err := topoOrderInto(d, &s); err != nil {
+		return nil, err
+	}
+	return s.order, nil
 }
 
 // Validate returns an error if the graph is not acyclic.

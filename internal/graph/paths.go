@@ -29,11 +29,11 @@ type Levels struct {
 // single backward sweep over a topological order. It returns ErrCycle for
 // cyclic graphs.
 func ComputeLevels(d Digraph, vw WeightFunc, ew EdgeWeightFunc) (Levels, error) {
-	order, err := topoOrderInto(d, nil, nil, nil)
-	if err != nil {
+	var s PathScratch
+	if err := topoOrderInto(d, &s); err != nil {
 		return Levels{}, err
 	}
-	return levelsOver(d, order, vw, ew, nil, nil), nil
+	return levelsOver(d, s.order, vw, ew, nil, nil), nil
 }
 
 // ComputeLevelsOrder is ComputeLevels over a pre-computed topological order
@@ -93,26 +93,26 @@ type PathScratch struct {
 }
 
 // topoOrderInto is Kahn's algorithm over a sorted frontier (identical
-// ordering to DAG.TopoOrder) appending into the caller's buffers.
-func topoOrderInto(d Digraph, indeg, frontier, order []int) ([]int, error) {
+// ordering to DAG.TopoOrder), leaving the order in s.order. Every buffer it
+// uses lives in s, so a reused scratch stops allocating after one call.
+func topoOrderInto(d Digraph, s *PathScratch) error {
 	n := d.N()
-	if cap(indeg) < n {
-		indeg = make([]int, n)
-	} else {
-		indeg = indeg[:n]
+	if cap(s.indeg) < n {
+		s.indeg = make([]int, n)
 	}
-	frontier = frontier[:0]
-	order = order[:0]
+	indeg := s.indeg[:n]
+	frontier, order := s.frontier[:0], s.order[:0]
 	for v := 0; v < n; v++ {
 		indeg[v] = len(d.Pred(v))
 		if indeg[v] == 0 {
 			frontier = append(frontier, v)
 		}
 	}
-	for len(frontier) > 0 {
-		sort.Ints(frontier)
-		v := frontier[0]
-		frontier = frontier[1:]
+	// Popping by head index (not by reslicing) keeps the frontier's
+	// capacity for the next call.
+	for head := 0; head < len(frontier); head++ {
+		sort.Ints(frontier[head:])
+		v := frontier[head]
 		order = append(order, v)
 		for _, w := range d.Succ(v) {
 			indeg[w]--
@@ -121,10 +121,11 @@ func topoOrderInto(d Digraph, indeg, frontier, order []int) ([]int, error) {
 			}
 		}
 	}
+	s.frontier, s.order = frontier, order
 	if len(order) != n {
-		return nil, ErrCycle
+		return ErrCycle
 	}
-	return order, nil
+	return nil
 }
 
 // CriticalPathScratch is CriticalPath reusing the caller's scratch buffers.
@@ -133,12 +134,10 @@ func CriticalPathScratch(d Digraph, vw WeightFunc, ew EdgeWeightFunc, s *PathScr
 	if d.N() == 0 {
 		return 0, nil, nil
 	}
-	order, err := topoOrderInto(d, s.indeg, s.frontier[:0], s.order[:0])
-	if err != nil {
+	if err := topoOrderInto(d, s); err != nil {
 		return 0, nil, err
 	}
-	s.order = order
-	s.lv = levelsOver(d, order, vw, ew, s.lv.Top, s.lv.Bottom)
+	s.lv = levelsOver(d, s.order, vw, ew, s.lv.Top, s.lv.Bottom)
 	length, path := reconstructPath(d, s.lv, vw, ew, s.path[:0])
 	s.path = path
 	return length, path, nil

@@ -7,7 +7,6 @@ import (
 	"locmps/internal/graph"
 	"locmps/internal/model"
 	"locmps/internal/schedule"
-	"locmps/internal/speedup"
 )
 
 // CPA implements Critical Path and Allocation (Radulescu & van Gemund,
@@ -34,30 +33,40 @@ func (CPA) Schedule(tg *model.TaskGraph, c model.Cluster) (*schedule.Schedule, e
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	// Phase 1 recomputes the critical path up to n·P times, so every
+	// weight is an array load: et from the graph's tables, edge volumes
+	// from the indexed adjacency, and one path scratch for all iterations.
 	n := tg.N()
+	tb := tg.Tables(c.P)
 	pbest := make([]int, n)
 	np := make([]int, n)
 	for t := 0; t < n; t++ {
-		pbest[t] = speedup.Pbest(tg.Tasks[t].Profile, c.P)
+		pbest[t] = tb.Pbest(t, c.P)
 		np[t] = 1
 	}
 
-	vw := func(v int) float64 { return tg.ExecTime(v, np[v]) }
+	vw := func(v int) float64 { return tb.ExecTime(v, np[v]) }
 	ew := func(u, v int) float64 {
-		return c.EdgeCost(tg.Volume(u, v), np[u], np[v])
+		for _, se := range tg.SuccEdges(u) {
+			if se.Other == v {
+				return c.EdgeCost(se.Volume, np[u], np[v])
+			}
+		}
+		return 0
 	}
 	area := func() float64 {
 		var a float64
 		for t := 0; t < n; t++ {
-			a += float64(np[t]) * tg.ExecTime(t, np[t])
+			a += float64(np[t]) * tb.ExecTime(t, np[t])
 		}
 		return a / float64(c.P)
 	}
 
 	// Phase 1: grow allocations while the critical path dominates the
 	// average area.
+	var ps graph.PathScratch
 	for iter := 0; iter < n*c.P; iter++ {
-		cpLen, path, err := graph.CriticalPath(tg.DAG(), vw, ew)
+		cpLen, path, err := graph.CriticalPathScratch(tg.DAG(), vw, ew, &ps)
 		if err != nil {
 			return nil, err
 		}
@@ -73,8 +82,8 @@ func (CPA) Schedule(tg *model.TaskGraph, c model.Cluster) (*schedule.Schedule, e
 			if np[t] >= limit {
 				continue
 			}
-			gain := tg.ExecTime(t, np[t])/float64(np[t]) -
-				tg.ExecTime(t, np[t]+1)/float64(np[t]+1)
+			gain := tb.ExecTime(t, np[t])/float64(np[t]) -
+				tb.ExecTime(t, np[t]+1)/float64(np[t]+1)
 			if bestTask < 0 || gain > bestGain {
 				bestTask, bestGain = t, gain
 			}

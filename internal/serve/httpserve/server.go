@@ -22,7 +22,7 @@ import (
 type ServerConfig struct {
 	// MaxInflight bounds concurrently handled /v1/schedule requests. Beyond
 	// the bound the node sheds load: 503 with a Retry-After hint instead of
-	// queueing — the shard queues behind serve.Service already provide the
+	// queueing — the job queue behind serve.Service already provides the
 	// buffering this deployment wants, and unbounded HTTP handlers would
 	// just hide overload in goroutine pileups. <= 0 selects
 	// DefaultMaxInflight.
@@ -185,7 +185,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// r.Context() is cancelled by net/http when the client goes away, which
-	// cancels this job all the way down to the shard queue.
+	// cancels this job all the way down to the service's job queue.
 	ctx := r.Context()
 	resp := serve.WireResponse{Schema: serve.WireVersion}
 	if anytime {

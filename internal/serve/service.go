@@ -18,10 +18,10 @@ import (
 	"locmps/internal/schedule"
 )
 
-// ErrOverloaded is returned when a request's shard queue is full: the
+// ErrOverloaded is returned when the service's job queue is full: the
 // service applies backpressure instead of buffering unboundedly. Callers
 // decide whether to retry, shed or report.
-var ErrOverloaded = errors.New("serve: overloaded: shard queue full")
+var ErrOverloaded = errors.New("serve: overloaded: job queue full")
 
 // ErrClosed is returned by Schedule after Close.
 var ErrClosed = errors.New("serve: service closed")
@@ -37,18 +37,21 @@ var ErrAnytimeUnsupported = errors.New("serve: anytime budgets require a LoC-MPS
 
 // Config sizes the service. The zero value selects sensible defaults.
 type Config struct {
-	// Shards is the number of independent shards. Each shard owns a segment
-	// of the result cache, its own in-flight (coalescing) table, a bounded
-	// queue and its own warm workers; requests are routed by fingerprint.
-	// Default: GOMAXPROCS, capped at 8.
+	// Shards is the number of independent shards. Requests are routed to a
+	// shard by fingerprint; each shard owns a segment of the result cache,
+	// its own in-flight (coalescing) table and the lock that admits its
+	// requests. Shards do not own workers: every cold run goes through one
+	// service-wide job queue. Default: GOMAXPROCS, capped at 8.
 	Shards int
-	// WorkersPerShard is the number of warm worker goroutines draining each
-	// shard's queue. Every worker pins core scheduler scratch (pools, cost
-	// caches, sized buffers) for its whole lifetime, so consecutive runs on
-	// one worker start warm. Default 1.
+	// WorkersPerShard sizes the worker pool: Shards × WorkersPerShard warm
+	// worker goroutines drain the shared job queue, so a cold job runs on
+	// whichever worker is free, whatever its shard. Every worker pins core
+	// scheduler scratch (pools, cost caches, sized buffers) for its whole
+	// lifetime, so consecutive runs on one worker start warm. Default 1.
 	WorkersPerShard int
-	// QueueDepth bounds each shard's pending-request queue; an admission
-	// beyond it fails fast with ErrOverloaded. Default 64.
+	// QueueDepth sizes the shared job queue: it holds Shards × QueueDepth
+	// pending cold jobs in total, and an admission beyond that fails fast
+	// with ErrOverloaded. Default 64.
 	QueueDepth int
 	// CacheEntries bounds the total number of cached schedules across all
 	// shards (each shard holds CacheEntries/Shards, at least one). Default
@@ -98,13 +101,18 @@ func (c Config) withDefaults() Config {
 
 // Service is a concurrent scheduling service over the LoC-MPS kernel and
 // the paper's baselines. Schedule is safe for arbitrary concurrent use; the
-// heavy lifting happens on per-shard warm workers with admission control,
-// identical concurrent requests coalesce into one run, and completed
+// heavy lifting happens on a pool of warm workers behind one bounded job
+// queue, identical concurrent requests coalesce into one run, and completed
 // results are served from a sharded content-addressed LRU cache as deep
 // copies bit-identical to a cold run.
 type Service struct {
 	cfg    Config
 	shards []*shard
+	// queue is the work-conserving job queue every worker drains; jobs
+	// carry their shard for the cache and in-flight bookkeeping. Sends
+	// happen under the job's shard lock while that shard is open, and
+	// Close closes every shard before closing the queue.
+	queue  chan *job
 	wg     sync.WaitGroup
 	start  time.Time
 	closed atomic.Bool
@@ -133,7 +141,6 @@ type shard struct {
 	mu       sync.Mutex
 	cache    *lruCache
 	inflight map[Key]*call
-	queue    chan *job
 	closed   bool
 }
 
@@ -150,6 +157,7 @@ type call struct {
 type job struct {
 	req Request
 	key Key
+	sh  *shard // owns key's cache segment and in-flight entry
 	c   *call
 	// ctx is the leader's context: the worker aborts the run (or skips it
 	// entirely if still queued) once it is done, freeing the slot for work
@@ -168,23 +176,26 @@ type job struct {
 // drain and stop them.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s := &Service{cfg: cfg, start: time.Now(), lat: latring.New(latWindow)}
+	s := &Service{
+		cfg:   cfg,
+		start: time.Now(),
+		lat:   latring.New(latWindow),
+		queue: make(chan *job, cfg.Shards*cfg.QueueDepth),
+	}
 	s.winners.init(winnerCap)
 	perShard := cfg.CacheEntries / cfg.Shards
 	if perShard < 1 {
 		perShard = 1
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{
+		s.shards = append(s.shards, &shard{
 			cache:    newLRU(perShard),
 			inflight: make(map[Key]*call),
-			queue:    make(chan *job, cfg.QueueDepth),
-		}
-		s.shards = append(s.shards, sh)
-		for w := 0; w < cfg.WorkersPerShard; w++ {
-			s.wg.Add(1)
-			go s.worker(sh)
-		}
+		})
+	}
+	for w := 0; w < cfg.Shards*cfg.WorkersPerShard; w++ {
+		s.wg.Add(1)
+		go s.worker()
 	}
 	return s
 }
@@ -196,9 +207,9 @@ func (s *Service) shardFor(k Key) *shard {
 
 // Schedule resolves one request, blocking until the schedule is available:
 // served from the result cache (a deep copy, bit-identical to a cold run),
-// by joining an identical in-flight request, or by a cold run on one of the
-// shard's warm workers. It fails fast with ErrOverloaded when the shard's
-// queue is full and with ErrClosed after Close. Schedule is ScheduleContext
+// by joining an identical in-flight request, or by a cold run on the first
+// free warm worker. It fails fast with ErrOverloaded when the job queue is
+// full and with ErrClosed after Close. Schedule is ScheduleContext
 // with a background context.
 func (s *Service) Schedule(req Request) (*schedule.Schedule, error) {
 	return s.ScheduleContext(context.Background(), req)
@@ -313,9 +324,9 @@ func (s *Service) attempt(ctx context.Context, sh *shard, key Key, req Request, 
 		}
 	}
 	c = &call{done: make(chan struct{})}
-	jb := &job{req: req, key: key, c: c, ctx: ctx, deadline: deadline, cacheable: cacheable}
+	jb := &job{req: req, key: key, sh: sh, c: c, ctx: ctx, deadline: deadline, cacheable: cacheable}
 	select {
-	case sh.queue <- jb:
+	case s.queue <- jb:
 		if cacheable {
 			sh.inflight[key] = c
 		}
@@ -357,16 +368,17 @@ func (s *Service) finish(res *schedule.Schedule, started time.Time) (*schedule.S
 	return res.Clone(), nil
 }
 
-// worker drains one shard's queue on a pinned core scratch until the
-// service closes. Scheduler instances are cached per effective Options so a
-// request mix over few configurations never rebuilds them.
-func (s *Service) worker(sh *shard) {
+// worker drains the job queue on a pinned core scratch until the service
+// closes. Scheduler instances are cached per effective Options so a request
+// mix over few configurations never rebuilds them.
+func (s *Service) worker() {
 	defer s.wg.Done()
 	cw := core.NewWorker()
 	defer cw.Close()
 	algs := make(map[Options]schedule.Engine)
-	for jb := range sh.queue {
+	for jb := range s.queue {
 		res, truncated, err := s.runJob(cw, algs, jb)
+		sh := jb.sh
 		sh.mu.Lock()
 		if jb.cacheable {
 			delete(sh.inflight, jb.key)
@@ -619,12 +631,14 @@ func (s *Service) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
+	// Once every shard is closed no admission can send again, so the
+	// shared queue can close behind the sends already made.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.closed = true
-		close(sh.queue)
 		sh.mu.Unlock()
 	}
+	close(s.queue)
 	s.wg.Wait()
 }
 

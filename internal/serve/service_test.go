@@ -452,7 +452,7 @@ func TestServiceOverload(t *testing.T) {
 			t.Errorf("queued request: %v", err)
 		}
 	}()
-	for svc.Stats().Requests < 2 || len(svc.shards[0].queue) == 0 {
+	for svc.Stats().Requests < 2 || len(svc.queue) == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	// ...so the next distinct request must be shed immediately.
