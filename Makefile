@@ -46,11 +46,14 @@ race-core:
 	GOMAXPROCS=2 $(GO) test -count=1 ./...
 
 # A single iteration of each mid-scale scheduler benchmark: catches gross
-# regressions and asserts the hot path still runs end to end. The
-# baseline-engine and service-priming cases time M-HEFT's multi-width
-# scan, CPA's allocation phase and a node priming the zipf key mix.
+# regressions and asserts the hot path still runs end to end. The cold-mix
+# case runs one LoC-MPS search per stratum of the cold serving workload on
+# a pinned worker; the baseline-engine and service-priming cases time
+# M-HEFT's multi-width scan, CPA's allocation phase and a node priming the
+# zipf key mix.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLoCMPS(30Tasks16Procs|50Tasks64Procs)' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkColdMix' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'Benchmark(MHEFT64Tasks64Procs|CPA40Tasks64Procs)' -benchtime 1x -benchmem ./internal/sched
 	$(GO) test -run '^$$' -bench 'BenchmarkServicePrime' -benchtime 1x -benchmem ./internal/serve
 
@@ -153,10 +156,11 @@ stress:
 	$(GO) run ./cmd/stress -n $(N) -seed $(SEED)
 
 # Short fuzz passes over each fuzz target: the graph/format parsers, the
-# audit oracle, the SWF trace reader, the HTTP schedule POST path and the
-# disk L2 schedule and winner readers. ~56s total. -fuzz takes a regex and
-# go test refuses to fuzz more than one matching target, so every pattern
-# is anchored.
+# audit oracle, the SWF trace reader, the HTTP schedule POST path, the
+# disk L2 schedule and winner readers, and the chart's availability
+# profile against its busy-list reference. ~63s total. -fuzz takes a
+# regex and go test refuses to fuzz more than one matching target, so
+# every pattern is anchored.
 FUZZTIME ?= 7s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME) ./internal/model
@@ -167,3 +171,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleBody$$' -fuzztime $(FUZZTIME) ./internal/serve/httpserve
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskCacheGet$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskCacheGetWinner$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzChartProfile$$' -fuzztime $(FUZZTIME) ./internal/core

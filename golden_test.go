@@ -19,6 +19,8 @@ import (
 	"testing"
 
 	"locmps"
+	"locmps/internal/core"
+	"locmps/internal/schedule"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_seed.json from the current implementation")
@@ -146,6 +148,27 @@ func goldenWorkloads(t testing.TB) []goldenCase {
 		cell{name: "sp40-P64-CPA", tg: sp40, c: c64, run: sched(locmps.NewCPA())},
 		cell{name: "sp64-P64-CPA", tg: sp64, c: c64, run: sched(locmps.NewCPA())},
 	)
+	// Processor counts that straddle one 64-bit word of the chart's
+	// availability bitsets, the no-backfill variant at a full word, node
+	// speed factors, and a mid-execution preset whose fixed spans are
+	// clipped at the processors' busy horizons.
+	for _, procs := range []int{65, 128} {
+		cells = append(cells, cell{
+			name: fmt.Sprintf("synthetic-g3-P%d-LoC-MPS", procs),
+			tg:   graphs[3], c: locmps.Cluster{P: procs, Bandwidth: p.Bandwidth, Overlap: true},
+			run: sched(locmps.NewLoCMPS()),
+		})
+	}
+	cells = append(cells,
+		cell{name: "sp40-P64-NoBF", tg: sp40, c: c64, run: sched(locmps.NewLoCMPSNoBackfill())},
+		cell{name: "synthetic-g1-P8-Heterogeneous", tg: graphs[1], c: cVar,
+			run: func(tg *locmps.TaskGraph, c locmps.Cluster) (*locmps.Schedule, error) {
+				return locmps.ScheduleHeterogeneous(tg, c, []float64{1, 2, 1, 1.5, 1, 3, 1, 1})
+			}},
+		cell{name: "synthetic-g2-P16-Preset", tg: graphs[2],
+			c:   locmps.Cluster{P: 16, Bandwidth: p.Bandwidth, Overlap: true},
+			run: presetReplan},
+	)
 
 	out := make([]goldenCase, 0, len(cells))
 	for _, cl := range cells {
@@ -231,4 +254,29 @@ func TestGoldenDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// presetReplan re-plans a graph mid-execution: it schedules the graph, cuts
+// the schedule at 40% of its makespan, fixes every task started by then and
+// marks two of every three processors busy until the cut. Fixed tasks still
+// running at the cut are booked from it (their spans clipped), the rest of
+// the graph is searched afresh around them.
+func presetReplan(tg *locmps.TaskGraph, c locmps.Cluster) (*locmps.Schedule, error) {
+	first, err := locmps.NewLoCMPS().Schedule(tg, c)
+	if err != nil {
+		return nil, err
+	}
+	cut := 0.4 * first.Makespan
+	preset := core.Preset{Fixed: map[int]schedule.Placement{}, BusyUntil: make([]float64, c.P)}
+	for t, pl := range first.Placements {
+		if pl.Start < cut {
+			preset.Fixed[t] = pl
+		}
+	}
+	for proc := range preset.BusyUntil {
+		if proc%3 != 0 {
+			preset.BusyUntil[proc] = cut
+		}
+	}
+	return core.New().ScheduleWithPreset(tg, c, preset)
 }

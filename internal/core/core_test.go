@@ -391,7 +391,7 @@ func TestLoCMPSImprovesOnTaskParallelProperty(t *testing.T) {
 }
 
 func TestChartFreeAtAndReserve(t *testing.T) {
-	ch := newChart(2, true)
+	ch := newRefChart(2, true)
 	ch.reserve(0, 5, 10)
 	ch.reserve(0, 20, 30)
 	if until, ok := ch.freeAt(0, 0); !ok || until != 5 {
@@ -410,7 +410,7 @@ func TestChartFreeAtAndReserve(t *testing.T) {
 		t.Errorf("frontier = %v", f)
 	}
 	// No-backfill chart: holes invisible.
-	nb := newChart(1, false)
+	nb := newRefChart(1, false)
 	nb.reserve(0, 5, 10)
 	if _, ok := nb.freeAt(0, 0); ok {
 		t.Error("no-backfill chart exposed a hole before the frontier")
@@ -421,7 +421,7 @@ func TestChartFreeAtAndReserve(t *testing.T) {
 }
 
 func TestCandidateTimes(t *testing.T) {
-	ch := newChart(2, true)
+	ch := newRefChart(2, true)
 	ch.reserve(0, 0, 10)
 	ch.reserve(1, 5, 8)
 	times := ch.candidateTimes(3, nil)
@@ -540,14 +540,15 @@ func TestSearchStatsRecorded(t *testing.T) {
 	}
 }
 
-// Property: freeAt agrees with a brute-force occupancy check after random
-// non-overlapping reservations, in both chart modes.
+// Property: the reference chart's freeAt agrees with a brute-force
+// occupancy check after random non-overlapping reservations, in both chart
+// modes.
 func TestChartFreeAtMatchesBruteForceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		for _, backfill := range []bool{true, false} {
 			p := 1 + r.Intn(4)
-			ch := newChart(p, backfill)
+			ch := newRefChart(p, backfill)
 			type iv struct{ s, e float64 }
 			busy := make([][]iv, p)
 			// Build non-overlapping reservations per processor.
@@ -568,7 +569,7 @@ func TestChartFreeAtMatchesBruteForceProperty(t *testing.T) {
 				until, free := ch.freeAt(proc, q)
 				// Brute force.
 				wantFree := true
-				wantUntil := infinity
+				wantUntil := math.Inf(1)
 				if backfill {
 					for _, b := range busy[proc] {
 						if q >= b.s && q < b.e-1e-12 {

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"locmps/internal/model"
 	"locmps/internal/redist"
@@ -132,14 +132,14 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 				if preset.BusyUntil != nil {
 					start = max(start, preset.BusyUntil[proc])
 				}
-				sc.chart.reserve(proc, start, pl.Finish)
+				sc.chart.reserve(start, pl.Finish, proc)
 			}
 		}
 	}
 	if !resume && preset.BusyUntil != nil {
 		for proc, until := range preset.BusyUntil {
 			if until > 0 {
-				sc.chart.reserve(proc, 0, until)
+				sc.chart.reserve(0, until, proc)
 			}
 		}
 	}
@@ -351,9 +351,7 @@ func (e *placer) run() error {
 			for i, pe := range e.tg.PredEdges(tp) {
 				e.sched.SetCommID(pe.ID, best.comm[i])
 			}
-			for _, proc := range best.procs {
-				e.sc.chart.reserve(proc, best.occupy, best.finish)
-			}
+			e.sc.chart.reserve(best.occupy, best.finish, best.procs...)
 			if e.record {
 				tr.order = append(tr.order, int32(tp))
 				tr.undoMark = append(tr.undoMark, int32(e.sc.chart.mark()))
@@ -460,62 +458,39 @@ func (e *placer) place(tp int) (attempt, error) {
 	}
 	sc.widthBuf = widths
 
-	// The chart does not change while tp is being probed, so the candidate
-	// slot times — maxParentFt plus every distinct later boundary — are
-	// walked directly off the chart's sorted boundary multiset: no copy,
-	// and the walk stops as soon as the finish-time bound prunes.
-	ends := sc.chart.ends
-	endsFrom := sort.SearchFloat64s(ends, maxParentFt)
+	// The chart does not change while tp is being probed, so one slot scan
+	// serves every width: it walks the candidate start times straight off
+	// the chart's boundaries, and tryAt answers each (width, time) cell
+	// from processor bitsets. The walk stops as soon as the finish-time
+	// bound prunes.
+	ch := &sc.chart
+	estSeg := sc.scan.reset(ch, maxParentFt)
 	minF := e.minFactor()
 
-	// Every width walks the same candidate times. When several widths are
-	// scanned, the slot table answers tryAt's first fixed-point round for
-	// each (width, time) cell without probing the chart, and the cells that
-	// provably fail are skipped. A skipped tryAt would only have advanced
-	// busy-list cursors (never past a later probe's position) and refilled
-	// buffers that every call resets, so schedules are bit-identical.
-	table := len(widths) > 1
-	if table {
-		sc.slots.reset(e.cluster.P)
-	}
-
-	var best attempt
+	var att, best attempt
 	bestOK := false
 	for _, n := range widths {
 		et := e.tb.ExecTime(tp, n)
 		etFastest := et * minF
-		// Candidate times ascend within a width, so each processor's busy
-		// list is walked with a resumable cursor (see chart.idleUntil).
-		sc.posBuf = resetIntsTo(sc.posBuf, e.cluster.P, -1)
-		tau, idx := maxParentFt, endsFrom
-		for row := 0; ; row++ {
+		tau, k := maxParentFt, estSeg
+		for {
 			if bestOK && tau+etFastest >= best.finish {
 				break // later slots can only finish later
 			}
-			if !table || sc.slots.fits(&sc.chart, row, tau, n, et) {
-				att, ok, err := e.tryAt(tp, tau, n, et, parents, maxParentFt)
-				if err != nil {
-					return attempt{}, err
-				}
-				if ok && (!bestOK || att.finish < best.finish-schedule.Eps) {
-					// Keep the improvement in the dedicated best-buffers;
-					// att's slices alias per-round scratch that the next
-					// probe reuses.
-					sc.bestProcs = append(sc.bestProcs[:0], att.procs...)
-					sc.bestComm = append(sc.bestComm[:0], att.comm...)
-					att.procs, att.comm = sc.bestProcs, sc.bestComm
-					best, bestOK = att, true
-				}
+			if e.tryAt(&att, tau, k, n, et, parents, maxParentFt) &&
+				(!bestOK || att.finish < best.finish-schedule.Eps) {
+				// Keep the improvement in the dedicated best-buffers;
+				// att's slices alias per-round scratch that the next
+				// probe reuses.
+				best, bestOK = att, true
+				sc.bestProcs = append(sc.bestProcs[:0], att.procs...)
+				sc.bestComm = append(sc.bestComm[:0], att.comm...)
+				best.procs, best.comm = sc.bestProcs, sc.bestComm
 			}
-			// Advance to the next distinct boundary after tau.
-			for idx < len(ends) && ends[idx] <= tau {
-				idx++
-			}
-			if idx == len(ends) {
+			if k = sc.scan.nextSlot(k); k < 0 {
 				break
 			}
-			tau = ends[idx]
-			idx++
+			tau = ch.t[k]
 		}
 	}
 	if !bestOK {
@@ -526,50 +501,6 @@ func (e *placer) place(tp int) (attempt, error) {
 		e.np[tp] = len(best.procs)
 	}
 	return best, nil
-}
-
-// slotTable holds, for each candidate time of the placement in progress,
-// the idle-until values of the processors idle at that time, ascending.
-// Rows are built on demand in candidate-time order: the r-th time is the
-// same for every width, so the first width whose walk reaches it builds
-// row r and later widths read it.
-type slotTable struct {
-	off   []int32 // row r is until[off[r]:off[r+1]]
-	until []float64
-	cur   []int // per-processor busy-list cursor, advanced row by row
-}
-
-func (st *slotTable) reset(p int) {
-	st.off = append(st.off[:0], 0)
-	st.until = st.until[:0]
-	st.cur = resetIntsTo(st.cur, p, -1)
-}
-
-// fits reports whether at least n processors idle at tau stay idle until
-// tau+et, within Eps. That is exactly the condition for tryAt's first
-// round to fill its subset (it tests the same processors with the same
-// comparisons, in preference order), so a false answer is a tryAt that
-// fails without reaching timeOn. With the row sorted, the check is one
-// comparison against its n-th largest value.
-func (st *slotTable) fits(ch *chart, row int, tau float64, n int, et float64) bool {
-	if row == len(st.off)-1 {
-		for id := range ch.p {
-			if until, idle := ch.idleUntil(id, tau, &st.cur[id]); idle {
-				st.until = append(st.until, until)
-			}
-		}
-		slices.Sort(st.until[st.off[row]:])
-		st.off = append(st.off, int32(len(st.until)))
-	}
-	r := st.until[st.off[row]:st.off[row+1]]
-	need := tau + et
-	return len(r) >= n && r[len(r)-n] >= need-schedule.Eps
-}
-
-// freeProc is one idle processor during a candidate slot.
-type freeProc struct {
-	id    int
-	until float64
 }
 
 // buildPreference sets e.pref to every processor ordered by preference:
@@ -678,80 +609,71 @@ func sortByScore(pref []int32, score []float64) {
 	}
 }
 
-// tryAt evaluates placing tp in the idle slot beginning at tau. Because the
+// tryAt evaluates placing the task in the idle slot beginning at tau,
+// whose chart segment is k, filling att when it fits. Because the
 // redistribution time depends on the chosen subset and the subset must stay
 // idle until the (redistribution-delayed) finish time, the search iterates
 // to a fixed point, tightening the required idle window each round.
-func (e *placer) tryAt(tp int, tau float64, n int, et float64, parents []model.AdjEdge, maxParentFt float64) (attempt, bool, error) {
+func (e *placer) tryAt(att *attempt, tau float64, k, n int, et float64, parents []model.AdjEdge, maxParentFt float64) bool {
 	// Each fixed-point round takes the first n sufficiently-idle processors
 	// in preference order. A slow node in the subset stretches the whole
 	// task (it runs at the slowest member's pace), which almost always
 	// costs more than re-fetching input data: node speed dominates
-	// locality, locality breaks ties among equally fast nodes.
-	// The free list is materialized lazily: processors are probed in
-	// preference order only until the subset is filled, so a task needing
-	// n processors rarely touches more than the first ~n chart columns.
-	// Skipped processors keep valid cursors because probe times never
-	// decrease within a width; chart.idleUntil resumes each processor's
-	// busy-list cursor.
+	// locality, locality breaks ties among equally fast nodes. The slot
+	// scan holds the sufficiently-idle set as a bitset, so a slot with
+	// fewer than n such processors fails before any is picked.
 	sc := e.sc
-	pref := e.pref
-	ch := &sc.chart
-	cur := sc.posBuf
-	free := sc.freeBuf[:0]
-	next := 0 // next preference-order processor not yet probed
-
+	s := &sc.scan
+	s.open(tau, k)
 	need := tau + et // minimal idle window; grows as comm delays surface
+	if !s.reach(need-schedule.Eps, n) {
+		return false
+	}
+	pick := s.pick
 	for round := 0; round < 4; round++ {
+		clear(pick)
+		left := n
+		for _, id := range e.pref {
+			if s.has(int(id)) {
+				pick[id>>6] |= 1 << (id & 63)
+				if left--; left == 0 {
+					break
+				}
+			}
+		}
+		// Canonical block-cyclic layout order: ascending ids.
 		procs := sc.procBuf[:0]
-		// The subset is feasible iff its least idle-until covers the
-		// finish time, so only the minimum needs tracking.
-		minUntil := infinity
-		for i := 0; len(procs) < n; i++ {
-			for i >= len(free) && next < len(pref) {
-				id := int(pref[next])
-				next++
-				if until, idle := ch.idleUntil(id, tau, &cur[id]); idle {
-					free = append(free, freeProc{id: id, until: until})
-				}
-			}
-			if i >= len(free) {
-				break // every idle processor considered
-			}
-			if fp := free[i]; fp.until >= need-schedule.Eps {
-				procs = append(procs, fp.id)
-				if fp.until < minUntil {
-					minUntil = fp.until
-				}
+		for j, x := range pick {
+			for ; x != 0; x &= x - 1 {
+				procs = append(procs, j<<6|bits.TrailingZeros64(x))
 			}
 		}
-		sc.freeBuf, sc.procBuf = free, procs
-		if len(procs) < n {
-			return attempt{}, false, nil
-		}
-		// Canonical block-cyclic layout order.
-		slices.Sort(procs)
+		sc.procBuf = procs
 
-		att, err := e.timeOn(tau, et, parents, maxParentFt, procs)
-		if err != nil {
-			return attempt{}, false, err
+		e.timeOn(att, tau, et, parents, maxParentFt, procs)
+		// The subset is feasible iff every member's idle slot reaches the
+		// finish time; the scan then holds the set for the next round.
+		fits := s.reach(att.finish-schedule.Eps, n)
+		for j, x := range pick {
+			fits = fits && x&^s.avail[j] == 0
 		}
-		if minUntil >= att.finish-schedule.Eps {
-			return att, true, nil
+		if fits {
+			return true
 		}
-		if att.finish <= need+schedule.Eps {
-			return attempt{}, false, nil // no progress possible
+		if att.finish <= need+schedule.Eps || s.free < n {
+			return false // no progress possible, or no subset for the next round
 		}
 		need = att.finish
 	}
-	return attempt{}, false, nil
+	return false
 }
 
 // timeOn computes start/finish and communication charges for running the
 // task being placed on the given processor set with the slot opening at
-// tau. The charges depend only on the processor set (not on tau), so they
-// are memoized in the scratch's ct memo across the candidate-time probes.
-func (e *placer) timeOn(tau, et float64, parents []model.AdjEdge, maxParentFt float64, procs []int) (attempt, error) {
+// tau, into att. The charges depend only on the processor set (not on tau),
+// so they are memoized in the scratch's ct memo across the candidate-time
+// probes.
+func (e *placer) timeOn(att *attempt, tau, et float64, parents []model.AdjEdge, maxParentFt float64, procs []int) {
 	m := &e.sc.ct
 	ph := procsHash(procs)
 	slot := -1
@@ -787,7 +709,7 @@ func (e *placer) timeOn(tau, et float64, parents []model.AdjEdge, maxParentFt fl
 		m.comm[slot] = comm
 		m.max[slot], m.sum[slot], m.rct[slot] = maxCt, sumCt, rct
 	}
-	att := attempt{procs: procs, comm: m.comm[slot]}
+	att.procs, att.comm = procs, m.comm[slot]
 	maxCt, sumCt, rct := m.max[slot], m.sum[slot], m.rct[slot]
 	if e.cluster.Overlap {
 		// Asynchronous transfers: data redistribution proceeds while the
@@ -806,7 +728,6 @@ func (e *placer) timeOn(tau, et float64, parents []model.AdjEdge, maxParentFt fl
 		att.commTime = sumCt
 	}
 	att.finish = att.start + et*e.maxFactor(procs)
-	return att, nil
 }
 
 // maxFactor is the execution-time multiplier of the slowest node in the

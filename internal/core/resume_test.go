@@ -2,13 +2,15 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"locmps/internal/model"
+	"locmps/internal/schedule"
 )
 
-// chartStatesEqual deep-compares the observable state of two charts: the
-// per-processor busy lists and the boundary multiset. The undo logs are
+// chartStatesEqual compares two availability profiles bit for bit: the
+// boundary times and every busy, starts and ends word. The undo logs are
 // deliberately excluded (a rolled-back chart keeps a shorter log than a
 // fresh replay that never recorded).
 func chartStatesEqual(t *testing.T, got, want *chart, label string) {
@@ -17,29 +19,16 @@ func chartStatesEqual(t *testing.T, got, want *chart, label string) {
 		t.Fatalf("%s: shape (p=%d bf=%v) vs (p=%d bf=%v)",
 			label, got.p, got.backfill, want.p, want.backfill)
 	}
-	for proc := 0; proc < got.p; proc++ {
-		g, w := got.busy[proc], want.busy[proc]
-		if len(g) != len(w) {
-			t.Fatalf("%s: proc %d has %d intervals, want %d", label, proc, len(g), len(w))
-		}
-		for i := range g {
-			if g[i] != w[i] {
-				t.Fatalf("%s: proc %d interval %d = %v, want %v", label, proc, i, g[i], w[i])
-			}
-		}
+	if !slices.Equal(got.t, want.t) {
+		t.Fatalf("%s: boundaries %v, want %v", label, got.t, want.t)
 	}
-	if len(got.ends) != len(want.ends) {
-		t.Fatalf("%s: %d boundaries, want %d", label, len(got.ends), len(want.ends))
-	}
-	for i := range got.ends {
-		if got.ends[i] != want.ends[i] {
-			t.Fatalf("%s: boundary %d = %v, want %v", label, i, got.ends[i], want.ends[i])
-		}
+	if !slices.Equal(got.bits, want.bits) {
+		t.Fatalf("%s: profile bits differ at boundaries %v", label, got.t)
 	}
 }
 
 type shadowOp struct {
-	proc       int
+	procs      []int
 	start, end float64
 }
 
@@ -48,7 +37,7 @@ type shadowOp struct {
 func replayShadow(p int, backfill bool, ops []shadowOp) *chart {
 	c := newChart(p, backfill)
 	for _, op := range ops {
-		c.reserve(op.proc, op.start, op.end)
+		c.reserve(op.start, op.end, op.procs...)
 	}
 	return c
 }
@@ -62,12 +51,14 @@ func TestChartRollbackRebuildDeterministic(t *testing.T) {
 		c.record()
 		r := rand.New(rand.NewSource(11))
 		var shadow []shadowOp
+		frontier := make([]float64, 4)
 		for i := 0; i < 100; i++ {
 			proc := r.Intn(4)
-			start := c.frontier(proc) + r.Float64()*3
+			start := frontier[proc] + r.Float64()*3
 			end := start + 0.5 + r.Float64()*2
-			c.reserve(proc, start, end)
-			shadow = append(shadow, shadowOp{proc, start, end})
+			frontier[proc] = end
+			c.reserve(start, end, proc)
+			shadow = append(shadow, shadowOp{[]int{proc}, start, end})
 		}
 		if !c.rebuildOK {
 			t.Fatalf("backfill=%v: chart recorded from empty should allow rebuild", backfill)
@@ -81,50 +72,60 @@ func TestChartRollbackRebuildDeterministic(t *testing.T) {
 }
 
 // TestChartRollbackMatchesReplayProperty drives random interleavings of
-// reserves (frontier extensions and, with backfill, hole fills) and
-// rollbacks to random marks, checking after every rollback that the live
-// chart equals a fresh replay of the surviving reservation prefix. Both the
-// newest-first pop path and the forward-rebuild path are exercised (the
-// mark's position relative to half the log decides which one runs).
+// reserves (frontier extensions and, with backfill, hole fills, some of
+// them overlapping a neighbour by less than Eps) and rollbacks to random
+// marks, checking after every rollback that the live chart equals a fresh
+// replay of the surviving reservation prefix. Both the newest-first pop
+// path and the forward-rebuild path are exercised (the mark's position
+// relative to half the log decides which one runs). The reference chart
+// follows the same ops and decides which spans are free.
 func TestChartRollbackMatchesReplayProperty(t *testing.T) {
 	for _, backfill := range []bool{true, false} {
 		for seed := int64(0); seed < 8; seed++ {
 			r := rand.New(rand.NewSource(seed))
 			const p = 5
-			c := newChart(p, backfill)
+			c, ref := newChart(p, backfill), newRefChart(p, backfill)
 			c.record()
+			ref.record()
 			var shadow []shadowOp
 
 			for step := 0; step < 400; step++ {
 				if r.Float64() < 0.72 || len(shadow) == 0 {
-					proc := r.Intn(p)
 					var start float64
 					if backfill && r.Float64() < 0.5 {
 						// Aim into the chart body; keep only hits on idle spans.
 						start = r.Float64() * 40
 					} else {
-						start = c.frontier(proc) + r.Float64()*4
-					}
-					until, free := c.freeAt(proc, start)
-					if !free {
-						continue
+						start = ref.frontier(r.Intn(p)) + r.Float64()*4
 					}
 					end := start + 0.25 + r.Float64()*3
-					if end > until {
-						end = until
+					var procs []int
+					for proc := 0; proc < p; proc++ {
+						if until, free := ref.freeAt(proc, start); free && until >= end-schedule.Eps && r.Intn(2) == 0 {
+							procs = append(procs, proc)
+						}
 					}
-					if end <= start {
+					if len(procs) == 0 {
 						continue
 					}
-					c.reserve(proc, start, end)
-					shadow = append(shadow, shadowOp{proc, start, end})
+					c.reserve(start, end, procs...)
+					for _, proc := range procs {
+						ref.reserve(proc, start, end)
+					}
+					shadow = append(shadow, shadowOp{procs, start, end})
 					continue
 				}
 				mark := r.Intn(len(shadow) + 1)
 				c.rollback(mark)
 				shadow = shadow[:mark]
-				chartStatesEqual(t, c, replayShadow(p, backfill, shadow),
-					"rollback")
+				ref = newRefChart(p, backfill)
+				ref.record()
+				for _, op := range shadow {
+					for _, proc := range op.procs {
+						ref.reserve(proc, op.start, op.end)
+					}
+				}
+				chartStatesEqual(t, c, replayShadow(p, backfill, shadow), "rollback")
 			}
 		}
 	}

@@ -27,11 +27,9 @@ type placerScratch struct {
 	preset   []bool
 	score    []float64
 	costBuf  *redist.CostBuffer
-	costP    int // processor capacity of costBuf
-	freeBuf  []freeProc
+	costP    int     // processor capacity of costBuf
 	prefIDs  []int32 // preference-ordered processor ids
 	procBuf  []int
-	posBuf   []int // per-processor busy-list cursor for freeAtSeq
 	pendBuf  []int // per-task count of unplaced predecessors
 	readyBuf []int // current ready frontier
 	widthBuf []int
@@ -39,9 +37,8 @@ type placerScratch struct {
 	// ct memoizes the tau-independent communication charges of the
 	// processor sets recently probed for the task being placed.
 	ct ctMemo
-	// slots is the adaptive-width placement's per-candidate-time table of
-	// idle-until values (see slotTable).
-	slots slotTable
+	// scan evaluates the candidate slots of the task being placed.
+	scan slotScan
 	// Per-task preference-order cache: prefScores/prefOrder hold one row
 	// of P entries per task, valid while prefValid[t] and the task's score
 	// vector is unchanged. The sorted order is a pure function of the
@@ -255,18 +252,6 @@ func resetInts(s []int, n int) []int {
 	s = s[:n]
 	for i := range s {
 		s[i] = 0
-	}
-	return s
-}
-
-func resetIntsTo(s []int, n, v int) []int {
-	if cap(s) < n {
-		s = make([]int, n)
-	} else {
-		s = s[:n]
-	}
-	for i := range s {
-		s[i] = v
 	}
 	return s
 }
