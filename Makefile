@@ -157,8 +157,9 @@ stress:
 
 # Short fuzz passes over each fuzz target: the graph/format parsers, the
 # audit oracle, the SWF trace reader, the HTTP schedule POST path, the
-# disk L2 schedule and winner readers, and the chart's availability
-# profile against its busy-list reference. ~63s total. -fuzz takes a
+# disk L2 schedule and winner readers, the chart's availability
+# profile against its busy-list reference, and the redistribution-cost
+# kernel against its transfer-matrix oracle. ~70s total. -fuzz takes a
 # regex and go test refuses to fuzz more than one matching target, so
 # every pattern is anchored.
 FUZZTIME ?= 7s
@@ -172,3 +173,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskCacheGet$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskCacheGetWinner$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzChartProfile$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzFastCostBuf$$' -fuzztime $(FUZZTIME) ./internal/redist

@@ -163,12 +163,14 @@ func TestSlowHeaderIsCutOff(t *testing.T) {
 	const cut = 300 * time.Millisecond
 	node, addr := serveNode(t, func(hs *http.Server) { hs.ReadHeaderTimeout = cut })
 
+	// The server's header deadline can start as soon as it accepts, which
+	// may be before Dial returns, so the clock starts before dialing.
+	start := time.Now()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "POST /v1/sche"); err != nil {
 		t.Fatal(err)
 	}

@@ -111,11 +111,6 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 		resume:  resume,
 		record:  record,
 	}
-	if record {
-		// Shares cached by earlier runs of the same search stay warm; the
-		// scratch's next search starts cold.
-		sc.costBuf.SetShareEpoch(sc.shareToken)
-	}
 	for t, pl := range preset.Fixed {
 		e.sched.Placements[t] = pl
 		sc.preset[t] = true
@@ -445,7 +440,6 @@ func (e *placer) place(tp int) (attempt, error) {
 	// once per task; tryAt filters it by idleness at each probed time.
 	e.buildPreference(tp)
 	sc := e.sc
-	sc.ct.reset()
 
 	widths := sc.widthBuf[:0]
 	if e.cfg.AdaptiveWidth {
@@ -670,47 +664,27 @@ func (e *placer) tryAt(att *attempt, tau float64, k, n int, et float64, parents 
 
 // timeOn computes start/finish and communication charges for running the
 // task being placed on the given processor set with the slot opening at
-// tau, into att. The charges depend only on the processor set (not on tau),
-// so they are memoized in the scratch's ct memo across the candidate-time
-// probes.
+// tau, into att. att.comm aliases the scratch's commBuf until the next call.
 func (e *placer) timeOn(att *attempt, tau, et float64, parents []model.AdjEdge, maxParentFt float64, procs []int) {
-	m := &e.sc.ct
-	ph := procsHash(procs)
-	slot := -1
-	for i := 0; i < m.count; i++ {
-		if m.hash[i] == ph && intsEqual(m.procs[i], procs) {
-			slot = i
-			break
+	var ph uint64
+	if !e.cfg.AdaptiveWidth {
+		ph = procsHash(procs)
+	}
+	comm := e.sc.commBuf[:0]
+	maxCt, sumCt, rct := 0.0, 0.0, 0.0
+	for _, pe := range parents {
+		ct := e.edgeCost(pe.Other, pe.Volume, procs, ph)
+		comm = append(comm, ct)
+		if ct > maxCt {
+			maxCt = ct
+		}
+		sumCt += ct
+		if arr := e.sched.Placements[pe.Other].Finish + ct; arr > rct {
+			rct = arr
 		}
 	}
-	if slot < 0 {
-		if m.count < len(m.procs) {
-			slot = m.count
-			m.count++
-		} else {
-			slot = m.next
-			m.next = (m.next + 1) % len(m.procs)
-		}
-		m.procs[slot] = append(m.procs[slot][:0], procs...)
-		m.hash[slot] = ph
-		comm := m.comm[slot][:0]
-		maxCt, sumCt, rct := 0.0, 0.0, 0.0
-		for _, pe := range parents {
-			ct := e.edgeCost(pe.Other, pe.Volume, procs, ph)
-			comm = append(comm, ct)
-			if ct > maxCt {
-				maxCt = ct
-			}
-			sumCt += ct
-			if arr := e.sched.Placements[pe.Other].Finish + ct; arr > rct {
-				rct = arr
-			}
-		}
-		m.comm[slot] = comm
-		m.max[slot], m.sum[slot], m.rct[slot] = maxCt, sumCt, rct
-	}
-	att.procs, att.comm = procs, m.comm[slot]
-	maxCt, sumCt, rct := m.max[slot], m.sum[slot], m.rct[slot]
+	e.sc.commBuf = comm
+	att.procs, att.comm = procs, comm
 	if e.cluster.Overlap {
 		// Asynchronous transfers: data redistribution proceeds while the
 		// target processors may still be busy with other work.
@@ -767,6 +741,8 @@ func (e *placer) minFactor() float64 {
 // the candidate subset, memoized by complete content in the scratch's cost
 // cache (the search re-asks the same layout pairs run after run). procsHash
 // is the caller's digest of procs, computed once per candidate subset.
+// Adaptive-width (M-HEFT) runs place each task once, so their wide subsets
+// would only fill the cache with entries that never hit; they skip it.
 func (e *placer) edgeCost(par int, vol float64, procs []int, procsHash uint64) float64 {
 	if vol == 0 {
 		return 0
@@ -776,6 +752,9 @@ func (e *placer) edgeCost(par int, vol float64, procs []int, procsHash uint64) f
 		return 0 // same layout, nothing moves
 	}
 	sc := e.sc
+	if e.cfg.AdaptiveWidth {
+		return e.rm.FastCostBuf(vol, src, procs, sc.costBuf)
+	}
 	h := costHash(procsHash, vol, e.rm.BlockBytes, e.rm.Bandwidth, src)
 	if c, ok := sc.costCache.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
 		return c
@@ -798,10 +777,9 @@ func (e *placer) fillLocalityScores(tp int, parents []model.AdjEdge) {
 			continue
 		}
 		pp := e.sched.Placements[pe.Other].Procs
-		share := e.rm.ResidentShareInto(e.sc.shareBuf[:0], pe.Volume, pp)
-		e.sc.shareBuf = share
+		share := e.rm.Shares(pe.Volume, len(pp))
 		for rank, proc := range pp {
-			score[proc] += share[rank]
+			score[proc] += share.At(rank)
 		}
 	}
 }

@@ -33,10 +33,9 @@ type placerScratch struct {
 	pendBuf  []int // per-task count of unplaced predecessors
 	readyBuf []int // current ready frontier
 	widthBuf []int
-	shareBuf []float64
-	// ct memoizes the tau-independent communication charges of the
-	// processor sets recently probed for the task being placed.
-	ct ctMemo
+	// commBuf holds the per-parent redistribution charges of the subset
+	// being probed (attempt.comm aliases it).
+	commBuf []float64
 	// scan evaluates the candidate slots of the task being placed.
 	scan slotScan
 	// Per-task preference-order cache: prefScores/prefOrder hold one row
@@ -57,7 +56,7 @@ type placerScratch struct {
 	// costCache memoizes redistribution costs across placement runs. The
 	// outer search re-places the same tasks onto mostly identical parent
 	// layouts thousands of times, so the same (model, volume, src, dst)
-	// queries recur long after the per-task ct memo has been reset.
+	// queries recur across probes, runs and searches.
 	costCache costCache
 
 	// trace checkpoints the most recent recorded placement run against this
@@ -71,10 +70,6 @@ type placerScratch struct {
 	// search layer folds them into SearchStats.
 	lastReplayed   int
 	lastRolledBack int
-	// shareToken counts the searches run on this scratch. Recorded runs
-	// stamp it onto their redistribution cost buffers, so share caches stay
-	// warm across the runs of one search and start cold in the next.
-	shareToken uint64
 
 	// LoC-MPS search scratch.
 	gp         *schedule.DAGBuilder
@@ -85,23 +80,6 @@ type placerScratch struct {
 	bestAlloc  []int
 	cands      []taskCand
 }
-
-// ctMemo memoizes the tau-independent communication charges of the
-// processor subsets recently probed for the task being placed; the
-// fixed-point rounds alternate between a few subsets, so a handful of
-// slots captures nearly every repeat.
-type ctMemo struct {
-	procs [32][]int
-	hash  [32]uint64
-	comm  [32][]float64
-	max   [32]float64
-	sum   [32]float64
-	rct   [32]float64
-	count int
-	next  int
-}
-
-func (m *ctMemo) reset() { m.count, m.next = 0, 0 }
 
 // placementTrace is the prefix checkpoint of the last recorded LoCBS run.
 // The scratch's chart still holds that run's full reservation state (with
@@ -196,12 +174,10 @@ func (sc *placerScratch) preparePlacer(n, p int, backfill, resume bool) {
 }
 
 // prepareSearch starts a LoC-MPS search on the scratch: it invalidates the
-// previous search's placement trace, moves the share caches to a new
-// generation, and sizes and clears the mark sets for n tasks and m graph
-// edges.
+// previous search's placement trace and sizes and clears the mark sets for
+// n tasks and m graph edges.
 func (sc *placerScratch) prepareSearch(n, m int) {
 	sc.trace.valid = false
-	sc.shareToken++
 	sc.markedTask = clearBools(sc.markedTask, n)
 	sc.markedEdge = clearBools(sc.markedEdge, m)
 	sc.np = growInts(sc.np, n)
@@ -286,9 +262,9 @@ type costEnt struct {
 	cost        float64
 }
 
-// procsHash is an FNV-1a digest of a processor set, shared by the per-task
-// ct memo and (as the dst half of the key) the cost cache, so one candidate
-// subset is hashed once per probe rather than once per parent edge.
+// procsHash is an FNV-1a digest of a processor set, the dst half of the
+// cost-cache key, so one candidate subset is hashed once per probe rather
+// than once per parent edge.
 func procsHash(procs []int) uint64 {
 	h := uint64(1469598103934665603)
 	for _, p := range procs {

@@ -11,7 +11,7 @@ import (
 // which is valid across runs survives between them: the content-keyed
 // redistribution cost cache (its key is the complete input of the
 // computation, so entries never go stale across workloads), the per-task
-// ct/preference memo storage and every sized buffer of the placement and
+// preference-order cache and every sized buffer of the placement and
 // search layers. A pool-drawn scratch gives the same reuse only while the
 // sync.Pool happens to return the same object; a Worker makes it a
 // guarantee, which is what the serving layer's warm workers are built on.

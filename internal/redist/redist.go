@@ -283,22 +283,46 @@ func (m Model) ResidentShare(volume float64, procs []int) ([]float64, error) {
 	if volume < 0 || math.IsNaN(volume) || math.IsInf(volume, 0) {
 		return nil, fmt.Errorf("redist: invalid volume %v", volume)
 	}
-	p := int64(len(procs))
-	full, rem := m.blockCount(volume)
-	share := make([]float64, p)
-	base := full / p
-	extra := full % p
-	for r := int64(0); r < p; r++ {
-		n := base
-		if r < extra {
-			n++
-		}
-		share[r] = float64(n) * m.BlockBytes
-	}
-	if rem > 0 {
-		share[full%p] += rem
+	sh := m.Shares(volume, len(procs))
+	share := make([]float64, len(procs))
+	for r := range share {
+		share[r] = sh.At(r)
 	}
 	return share, nil
+}
+
+// Shares is the per-rank resident volume of a block-cyclic layout in closed
+// form: the full blocks go round-robin, so every rank holds base of them and
+// ranks below extra one more, and the trailing partial block lands on rank
+// extra (full mod g).
+type Shares struct {
+	base, extra int64
+	rem, bb     float64
+}
+
+// Shares returns the resident volumes of volume bytes laid out over g
+// ranks. Like FastCostBuf it is a hot-path helper that assumes a validated
+// model, g >= 1 and a finite non-negative volume.
+func (m Model) Shares(volume float64, g int) Shares {
+	full, rem := m.blockCount(volume)
+	return newShares(full, rem, int64(g), m.BlockBytes)
+}
+
+func newShares(full int64, rem float64, g int64, blockBytes float64) Shares {
+	return Shares{base: full / g, extra: full % g, rem: rem, bb: blockBytes}
+}
+
+// At is the volume resident on rank r.
+func (s Shares) At(r int) float64 {
+	n := s.base
+	if int64(r) < s.extra {
+		n++
+	}
+	v := float64(n) * s.bb
+	if s.rem > 0 && int64(r) == s.extra {
+		v += s.rem
+	}
+	return v
 }
 
 // Transfers flattens the matrix into point-to-point transfers, sorted by

@@ -38,23 +38,27 @@ func FitDowney(times []float64) (Downey, error) {
 		return sum
 	}
 
-	// Coarse grid: A in [1, 4n] geometric, sigma in [0, 4] linear.
+	// Coarse grid: A in [1, 4n] geometric, sigma in [0, 4] linear. The
+	// loss is piecewise with kinks where the curve meets its plateau, so
+	// a coarser grid can seed the descent in the wrong valley.
 	bestA, bestS := 1.0, 0.0
 	bestL := loss(bestA, bestS)
-	for a := 1.0; a <= 4*float64(n); a *= 1.25 {
-		for s := 0.0; s <= 4.0; s += 0.25 {
+	for a := 1.0; a <= 4*float64(n); a *= 1.1 {
+		for s := 0.0; s <= 4.0; s += 0.125 {
 			if l := loss(a, s); l < bestL {
 				bestA, bestS, bestL = a, s, l
 			}
 		}
 	}
-	// Coordinate descent refinement.
+	// Coordinate descent refinement, kept inside the grid's sigma range:
+	// past it the loss can keep creeping down along a ridge that leads
+	// away from the sampled curve (sigma 11.5 for a sigma 1.56 truth).
 	stepA, stepS := bestA/4, 0.125
 	for iter := 0; iter < 60; iter++ {
 		improved := false
 		for _, cand := range [4][2]float64{
 			{bestA + stepA, bestS}, {math.Max(1, bestA-stepA), bestS},
-			{bestA, bestS + stepS}, {bestA, math.Max(0, bestS-stepS)},
+			{bestA, math.Min(4, bestS+stepS)}, {bestA, math.Max(0, bestS-stepS)},
 		} {
 			if l := loss(cand[0], cand[1]); l < bestL {
 				bestA, bestS, bestL = cand[0], cand[1], l
