@@ -14,10 +14,9 @@
 // and resume disabled), so the recorded speedup compares the
 // optimized engine against the same engine with its accelerations off.
 //
-// A case whose baseline and current entries are byte-identical carries no
-// information (its speedup is a vacuous 1.0x — the backfill of a case added
-// after the baseline was first recorded); the tool warns about every such
-// case so stale baselines do not masquerade as "no improvement".
+// The file schema, the baseline bookkeeping (including the warning about a
+// stale baseline byte-identical to current) and every -gate check live in
+// internal/benchgate; this command measures.
 //
 // To suppress scheduler jitter each case is measured -reps times (default
 // 3) and the fastest repetition is recorded, the same convention as
@@ -33,56 +32,23 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"locmps"
+	"locmps/internal/benchgate"
 )
 
-// Result is one benchmark snapshot.
-type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Makespan is the scheduled makespan of the benchmark instance and
-	// RatioVsCPR its ratio to CPR's makespan — both pure functions of the
-	// input, so a change here means the optimization changed the schedule.
-	Makespan   float64 `json:"makespan"`
-	RatioVsCPR float64 `json:"makespan_ratio_vs_cpr"`
-	// Search records what the LoC-MPS search layer did on one run of this
-	// instance. Absent in snapshots recorded before the memo existed.
-	Search *SearchSnapshot `json:"search_stats,omitempty"`
-}
-
-// SearchSnapshot is the recorded slice of locmps.RunMetrics.
-type SearchSnapshot struct {
-	OuterIterations int     `json:"outer_iterations"`
-	LookAheadSteps  int     `json:"lookahead_steps"`
-	LoCBSRuns       int     `json:"locbs_runs"`
-	CacheHits       int     `json:"cache_hits"`
-	CacheMisses     int     `json:"cache_misses"`
-	CacheHitRate    float64 `json:"cache_hit_rate"`
-	// Incremental-placement accounting: placement runs that resumed from a
-	// prefix checkpoint, task placements replayed from the checkpoint trace
-	// and traced steps rolled back at the divergence point.
-	ResumedRuns   int     `json:"resumed_runs"`
-	ReplayedTasks int     `json:"replayed_tasks"`
-	RollbackDepth int     `json:"rollback_depth"`
-	ReplayRate    float64 `json:"replay_rate"`
-}
-
-func snapshot(m locmps.RunMetrics) *SearchSnapshot {
-	return &SearchSnapshot{
+// snapshot records the slice of m that the bench file keeps.
+func snapshot(m locmps.RunMetrics) *benchgate.SearchSnapshot {
+	return &benchgate.SearchSnapshot{
 		OuterIterations: m.OuterIterations,
 		LookAheadSteps:  m.LookAheadSteps,
 		LoCBSRuns:       m.LoCBSRuns,
@@ -96,69 +62,10 @@ func snapshot(m locmps.RunMetrics) *SearchSnapshot {
 	}
 }
 
-// File is the on-disk layout of BENCH_locmps.json.
-type File struct {
-	Note string `json:"note,omitempty"`
-	// CPUs is the logical core count of the host that recorded the current
-	// snapshot. ns/op figures are only comparable between hosts of similar
-	// speed, so readers (and the gate) need to know what they were taken on.
-	CPUs     int                `json:"cpus,omitempty"`
-	Baseline map[string]Result  `json:"baseline"`
-	Current  map[string]Result  `json:"current"`
-	SpeedupX map[string]Speedup `json:"speedup_vs_baseline"`
-	// AnytimeTradeoff is the makespan-vs-latency curve of the anytime
-	// search on each recorded case: one point per MaxIterations budget
-	// (0 = unbounded), refreshed every run like "current".
-	AnytimeTradeoff map[string][]TradeoffPoint `json:"anytime_tradeoff,omitempty"`
-	// Portfolio holds the engine-portfolio cases: per-engine makespans on a
-	// stress-shaped instance, their minimum, and the race's committed
-	// result. Refreshed every run; -gate re-races each case and fails if
-	// the portfolio exceeds the per-engine minimum or the winner drifts.
-	Portfolio map[string]PortfolioEntry `json:"portfolio,omitempty"`
-}
-
-// PortfolioEntry is one portfolio bench case. The race has no deadline, so
-// everything here is a deterministic function of the instance: the winner
-// is the minimum-makespan engine with ties broken by the fixed portfolio
-// order, and PortfolioMakespan == MinMakespan always (gated).
-type PortfolioEntry struct {
-	// EngineMakespans maps each raced engine to its schedule's makespan.
-	EngineMakespans map[string]float64 `json:"engine_makespans"`
-	// MinMakespan is the minimum over EngineMakespans.
-	MinMakespan float64 `json:"min_makespan"`
-	// PortfolioMakespan is the race winner's makespan.
-	PortfolioMakespan float64 `json:"portfolio_makespan"`
-	// Winner is the winning engine's registry name.
-	Winner string `json:"winner"`
-	// RaceNs is the wall-clock time of the whole race.
-	RaceNs float64 `json:"race_ns"`
-}
-
-// TradeoffPoint is one budget point of the anytime makespan-vs-latency
-// curve: what schedule quality a MaxIterations budget buys and what it
-// costs in scheduling time.
-type TradeoffPoint struct {
-	// MaxIterations is the outer-round budget; 0 means unbounded (the
-	// full search, Truncated always false).
-	MaxIterations int     `json:"max_iterations"`
-	Ns            float64 `json:"ns"`
-	Makespan      float64 `json:"makespan"`
-	// QualityRatio is makespan over the instance's certified lower bound
-	// (>= 1; smaller is better).
-	QualityRatio float64 `json:"quality_ratio"`
-	Truncated    bool    `json:"truncated"`
-}
-
 // tradeoffBudgets are the MaxIterations points of the anytime curve, in
 // measurement order; 0 (unbounded) last so the curve ends at the full
 // search.
 var tradeoffBudgets = []int{4, 16, 64, 256, 0}
-
-// Speedup is baseline/current for the two tracked dimensions.
-type Speedup struct {
-	Ns     float64 `json:"ns"`
-	Allocs float64 `json:"allocs"`
-}
 
 type benchCase struct {
 	name         string
@@ -221,43 +128,35 @@ func buildPortfolioInstance(pc portfolioCase) (*locmps.TaskGraph, locmps.Cluster
 }
 
 // measurePortfolio races the default portfolio on one case (no deadline,
-// fully deterministic) and checks the selection invariants at measurement
-// time: the portfolio result equals the per-engine minimum, and the winner
-// is the argmin with ties broken by portfolio order.
-func measurePortfolio(pc portfolioCase) (PortfolioEntry, error) {
+// fully deterministic) and checks the selection invariant at measurement
+// time (benchgate.CheckRace).
+func measurePortfolio(pc portfolioCase) (benchgate.PortfolioEntry, error) {
 	tg, c, err := buildPortfolioInstance(pc)
 	if err != nil {
-		return PortfolioEntry{}, err
+		return benchgate.PortfolioEntry{}, err
 	}
 	res, err := locmps.RacePortfolio(context.Background(), tg, c, locmps.PortfolioOptions{})
 	if err != nil {
-		return PortfolioEntry{}, err
+		return benchgate.PortfolioEntry{}, err
 	}
-	e := PortfolioEntry{
+	e := benchgate.PortfolioEntry{
 		EngineMakespans:   make(map[string]float64, len(res.Candidates)),
 		PortfolioMakespan: res.Schedule.Makespan,
 		Winner:            res.Winner,
 		RaceNs:            float64(res.Elapsed),
 	}
-	argmin := ""
-	for _, cand := range res.Candidates {
+	order := make([]string, 0, len(res.Candidates))
+	for i, cand := range res.Candidates {
 		if cand.Err != nil {
-			return PortfolioEntry{}, fmt.Errorf("engine %s: %w", cand.Engine, cand.Err)
+			return benchgate.PortfolioEntry{}, fmt.Errorf("engine %s: %w", cand.Engine, cand.Err)
 		}
-		mk := cand.Schedule.Makespan
-		e.EngineMakespans[cand.Engine] = mk
-		if argmin == "" || mk < e.MinMakespan {
-			argmin, e.MinMakespan = cand.Engine, mk
+		e.EngineMakespans[cand.Engine] = cand.Schedule.Makespan
+		order = append(order, cand.Engine)
+		if i == 0 || cand.Schedule.Makespan < e.MinMakespan {
+			e.MinMakespan = cand.Schedule.Makespan
 		}
 	}
-	if e.PortfolioMakespan != e.MinMakespan {
-		return PortfolioEntry{}, fmt.Errorf("portfolio makespan %.6g != per-engine minimum %.6g",
-			e.PortfolioMakespan, e.MinMakespan)
-	}
-	if e.Winner != argmin {
-		return PortfolioEntry{}, fmt.Errorf("winner %s is not the argmin %s", e.Winner, argmin)
-	}
-	return e, nil
+	return e, benchgate.CheckRace(order, e)
 }
 
 func main() {
@@ -266,7 +165,7 @@ func main() {
 	reps := flag.Int("reps", 3, "benchmark repetitions per case; the fastest is recorded")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the runs to this file")
-	gate := flag.Bool("gate", false, "regression gate: re-measure every case and fail if ns/op exceeds the committed current snapshot by more than -gate-threshold, or if any makespan changed; re-races the portfolio cases and fails if the winner or makespan drifts; also audits the committed BENCH_serve.json (current vs its baseline plus the absolute warm_overhead_x bound, no re-measurement); writes no file")
+	gate := flag.Bool("gate", false, "regression gate: re-measure every case and fail if ns/op exceeds the committed current snapshot by more than -gate-threshold, or if any makespan changed; re-races the portfolio cases and fails if the winner or makespan drifts; also audits the committed BENCH_serve.json and BENCH_stream.json (current vs its baseline plus the absolute bounds, no re-measurement); writes no file")
 	gateThreshold := flag.Float64("gate-threshold", 1.6, "allowed ns/op ratio over the committed snapshot before -gate fails")
 	flag.Parse()
 	if *reps < 1 {
@@ -283,18 +182,19 @@ func main() {
 	}
 }
 
-// gateRun is the CI regression gate: it re-measures every case against the
-// committed BENCH_locmps.json and fails when timing regresses past the
-// threshold or when any makespan differs from the committed one (schedules
-// are deterministic — a changed makespan is a behavior change, not noise).
+// gateRun is the CI regression gate: it re-measures every case and re-races
+// every portfolio case against the committed BENCH_locmps.json, then audits
+// the committed BENCH_serve.json and BENCH_stream.json without re-measuring.
+// The checks themselves are benchgate's.
 func gateRun(path string, reps int, threshold float64) error {
-	prev, err := load(path)
+	prev, _, err := benchgate.Read[benchgate.LocmpsFile](path)
 	if err != nil {
 		return err
 	}
-	if prev == nil || len(prev.Current) == 0 {
+	if len(prev.Current) == 0 {
 		return fmt.Errorf("-gate: no committed snapshot in %s to gate against", path)
 	}
+	benchgate.HostLine(os.Stdout, path, prev.CPUs)
 	var failures []string
 	for _, cs := range cases {
 		committed, ok := prev.Current[cs.name]
@@ -306,23 +206,8 @@ func gateRun(path string, reps int, threshold float64) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", cs.name, err)
 		}
-		ratio := r.NsPerOp / committed.NsPerOp
-		status := "ok"
-		if r.Makespan != committed.Makespan {
-			status = "FAIL (makespan changed)"
-			failures = append(failures, fmt.Sprintf("%s: makespan %.6g, committed %.6g — schedule changed",
-				cs.name, r.Makespan, committed.Makespan))
-		} else if ratio > threshold {
-			status = "FAIL (slower)"
-			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op is %.2fx the committed %.0f ns/op (threshold %.2fx)",
-				cs.name, r.NsPerOp, ratio, committed.NsPerOp, threshold))
-		}
-		fmt.Printf("%-34s %14.0f ns/op  %5.2fx committed  %s\n", cs.name, r.NsPerOp, ratio, status)
+		failures = append(failures, benchgate.GateCase(os.Stdout, cs.name, r, committed, threshold)...)
 	}
-	// Portfolio cases re-race (deterministic: no deadline) and must
-	// reproduce the committed entry exactly — makespans and winner — and
-	// respect the selection invariant (portfolio == per-engine minimum,
-	// checked inside measurePortfolio).
 	for _, pc := range pfCases {
 		committed, ok := prev.Portfolio[pc.name]
 		if !ok {
@@ -333,275 +218,22 @@ func gateRun(path string, reps int, threshold float64) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", pc.name, err)
 		}
-		status := "ok"
-		if e.PortfolioMakespan != committed.PortfolioMakespan || e.Winner != committed.Winner {
-			status = "FAIL (portfolio changed)"
-			failures = append(failures, fmt.Sprintf("%s: portfolio %.6g/%s, committed %.6g/%s — race outcome changed",
-				pc.name, e.PortfolioMakespan, e.Winner, committed.PortfolioMakespan, committed.Winner))
-		}
-		fmt.Printf("%-34s portfolio %.6g (winner %s)  %s\n", pc.name, e.PortfolioMakespan, e.Winner, status)
+		failures = append(failures, benchgate.GatePortfolio(os.Stdout, pc.name, e, committed)...)
 	}
-	serveFailures, err := gateServe("BENCH_serve.json", threshold)
+	serveFailures, err := benchgate.AuditServe(os.Stdout, "BENCH_serve.json", threshold)
 	if err != nil {
 		return err
 	}
-	failures = append(failures, serveFailures...)
-	streamFailures, err := gateStream("BENCH_stream.json", threshold)
+	streamFailures, err := benchgate.AuditStream(os.Stdout, "BENCH_stream.json", threshold)
 	if err != nil {
 		return err
 	}
-	failures = append(failures, streamFailures...)
+	failures = append(append(failures, serveFailures...), streamFailures...)
 	if len(failures) > 0 {
 		return fmt.Errorf("gate failed:\n  %s", strings.Join(failures, "\n  "))
 	}
 	fmt.Println("bench gate passed")
 	return nil
-}
-
-// serveGateMetrics are the per-case figures gated in BENCH_serve.json. The
-// serving benchmarks take minutes of wall clock, so unlike the scheduler
-// cases the gate does not re-measure: it audits the committed file itself —
-// current vs the baseline recorded alongside it — and fails when a commit
-// records a regression past the threshold. Tail latency gates upward
-// (current may not exceed threshold x baseline), speedups gate downward
-// (baseline may not exceed threshold x current).
-var serveGateMetrics = []struct {
-	field         string
-	lowerIsBetter bool
-	// nsFloor marks nanosecond metrics subject to serveGateFloorNs: a
-	// sub-millisecond latency is one preempted goroutine away from any
-	// ratio, so such pairs are exempt.
-	nsFloor bool
-	// skipTruncated exempts the metric when the case records
-	// truncated=true: a deadline that actually cut the search makes the
-	// figure a function of how often the host preempted the worker inside
-	// the budget — scheduler noise, not a regression. (cmd/loadgen already
-	// records the best of several repetitions for these cases; the
-	// exemption covers the residual drift.)
-	skipTruncated bool
-}{
-	{field: "warm_p99_ns", lowerIsBetter: true, nsFloor: true},
-	{field: "net_warm_p99_ns", lowerIsBetter: true, nsFloor: true},
-	{field: "hedged_p99_ns", lowerIsBetter: true, nsFloor: true},
-	{field: "hit_speedup_x"},
-	{field: "cold_schedules_per_sec"},
-	{field: "quality_ratio", lowerIsBetter: true, skipTruncated: true},
-}
-
-// serveGateWarmOverheadMax is an absolute bound, not a baseline ratio: the
-// portfolio case's winner-routed warm p50 may cost at most 10% over the
-// direct single-engine call, whatever the baseline recorded.
-const serveGateWarmOverheadMax = 1.10
-
-// serveGateFloorNs exempts sub-millisecond latency figures from the serve
-// gate: a p99 that small is one preempted goroutine away from any ratio,
-// so gating it would only gate the host's scheduler.
-const serveGateFloorNs = 1e6
-
-// gateServe audits the committed serving-benchmark file. A missing file is
-// fine (the serving suite may not have run on this checkout); a malformed
-// one is not. Returns gate failure messages; stale baselines only warn.
-func gateServe(path string, threshold float64) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		fmt.Printf("%-34s missing; serve gate skipped\n", path)
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f struct {
-		Baseline map[string]map[string]json.RawMessage `json:"baseline"`
-		Current  map[string]map[string]json.RawMessage `json:"current"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	names := make([]string, 0, len(f.Current))
-	for name := range f.Current {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	for _, name := range names {
-		cur := f.Current[name]
-		// The warm-overhead bound is absolute — it gates current alone, so
-		// it applies even to cases with no baseline yet.
-		status := "ok"
-		if ox, ok := rawFloat(cur["warm_overhead_x"]); ok && ox > serveGateWarmOverheadMax {
-			status = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s: %s warm_overhead_x %.3f exceeds the absolute bound %.2f",
-				path, name, ox, serveGateWarmOverheadMax))
-		}
-		base, ok := f.Baseline[name]
-		if !ok {
-			fmt.Printf("%-34s not in %s baseline; %s (absolute checks only)\n", name, path, status)
-			continue
-		}
-		truncated := false
-		if raw, ok := cur["truncated"]; ok {
-			_ = json.Unmarshal(raw, &truncated)
-		}
-		for _, m := range serveGateMetrics {
-			if m.skipTruncated && truncated {
-				continue
-			}
-			b, okB := rawFloat(base[m.field])
-			c, okC := rawFloat(cur[m.field])
-			if !okB || !okC || b <= 0 || c <= 0 {
-				continue
-			}
-			if m.nsFloor && b < serveGateFloorNs && c < serveGateFloorNs {
-				continue
-			}
-			ratio := c / b
-			if !m.lowerIsBetter {
-				ratio = b / c
-			}
-			if ratio > threshold {
-				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s: %s %s %.4g vs baseline %.4g is %.2fx worse (threshold %.2fx)",
-					path, name, m.field, c, b, ratio, threshold))
-			}
-		}
-		fmt.Printf("%-34s serve gate %s\n", name, status)
-	}
-	warnStaleRaw(path)
-	return failures, nil
-}
-
-// streamGateSpeedupMin is the absolute floor on the streaming steady
-// case's incremental-vs-scratch speedup: the rolling-horizon reuse
-// machinery must beat full scratch rescheduling at least 2x (at
-// bit-identical end states — cmd/streamgen refuses to record a speedup
-// otherwise).
-const streamGateSpeedupMin = 2.0
-
-// streamGateMetrics are the per-case figures gated against the baseline
-// in BENCH_stream.json, same conventions as serveGateMetrics: the gate
-// audits the committed file rather than re-replaying (a full replay
-// costs tens of seconds), latency gates upward, rates gate downward.
-var streamGateMetrics = []struct {
-	field         string
-	lowerIsBetter bool
-	nsFloor       bool
-}{
-	{field: "resched_p50_ns", lowerIsBetter: true, nsFloor: true},
-	{field: "resched_p99_ns", lowerIsBetter: true, nsFloor: true},
-	{field: "incremental_search_ns", lowerIsBetter: true},
-	{field: "replay_rate_eps"},
-}
-
-// streamGateRequired names the invariant flags each streaming case must
-// carry: cmd/streamgen only writes them true, so an absent or false flag
-// means the committed file was edited or produced by a broken run.
-var streamGateRequired = map[string]string{
-	"StreamSteadyPoisson": "end_bit_identical",
-	"StreamT0Batch":       "t0_match",
-	"StreamChurnFailures": "audit_clean",
-}
-
-// gateStream audits the committed streaming-benchmark file. A missing
-// file is fine (the streaming suite may not have run on this checkout);
-// a malformed one is not. Returns gate failure messages; stale baselines
-// only warn.
-func gateStream(path string, threshold float64) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		fmt.Printf("%-34s missing; stream gate skipped\n", path)
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f struct {
-		Baseline map[string]map[string]json.RawMessage `json:"baseline"`
-		Current  map[string]map[string]json.RawMessage `json:"current"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	names := make([]string, 0, len(f.Current))
-	for name := range f.Current {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	for _, name := range names {
-		cur := f.Current[name]
-		status := "ok"
-		// Absolute checks first — they gate current alone, baseline or not.
-		if flag, ok := streamGateRequired[name]; ok && !rawBool(cur[flag]) {
-			status = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s: %s %s is not true — invariant broken or file edited",
-				path, name, flag))
-		}
-		if sx, ok := rawFloat(cur["speedup_x"]); ok && sx < streamGateSpeedupMin {
-			status = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s: %s speedup_x %.2f below the absolute floor %.1fx",
-				path, name, sx, streamGateSpeedupMin))
-		}
-		if p50, ok := rawFloat(cur["resched_p50_ns"]); ok {
-			if p99, ok := rawFloat(cur["resched_p99_ns"]); ok && p50 > p99 {
-				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s: %s resched_p50_ns %.4g exceeds resched_p99_ns %.4g",
-					path, name, p50, p99))
-			}
-		}
-		base, ok := f.Baseline[name]
-		if !ok {
-			fmt.Printf("%-34s not in %s baseline; %s (absolute checks only)\n", name, path, status)
-			continue
-		}
-		for _, m := range streamGateMetrics {
-			b, okB := rawFloat(base[m.field])
-			c, okC := rawFloat(cur[m.field])
-			if !okB || !okC || b <= 0 || c <= 0 {
-				continue
-			}
-			if m.nsFloor && b < serveGateFloorNs && c < serveGateFloorNs {
-				continue
-			}
-			ratio := c / b
-			if !m.lowerIsBetter {
-				ratio = b / c
-			}
-			if ratio > threshold {
-				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s: %s %s %.4g vs baseline %.4g is %.2fx worse (threshold %.2fx)",
-					path, name, m.field, c, b, ratio, threshold))
-			}
-		}
-		fmt.Printf("%-34s stream gate %s\n", name, status)
-	}
-	warnStaleRaw(path)
-	return failures, nil
-}
-
-// rawBool decodes a raw JSON value as a bool; non-bools and absent
-// fields report false.
-func rawBool(raw json.RawMessage) bool {
-	if raw == nil {
-		return false
-	}
-	var v bool
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return false
-	}
-	return v
-}
-
-// rawFloat decodes a raw JSON value as a number; non-numbers (bools,
-// strings, absent fields) report false.
-func rawFloat(raw json.RawMessage) (float64, bool) {
-	if raw == nil {
-		return 0, false
-	}
-	var v float64
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return 0, false
-	}
-	return v, true
 }
 
 // profiled wraps fn with optional CPU and heap profiling; the heap profile
@@ -636,28 +268,19 @@ func profiled(cpuPath, memPath string, fn func() error) error {
 }
 
 func run(path, rebase string, reps int) error {
-	out := File{
-		Note:     "Mid-scale LoC-MPS scheduler benchmarks (synthetic graphs, CCR=0.1, seed 7). Baseline is preserved across runs; delete this file to re-baseline, or re-measure single cases with -rebaseline (reference scheduler: memo/resume off). Each figure is the fastest of -reps repetitions.",
-		CPUs:     runtime.NumCPU(),
-		Current:  map[string]Result{},
-		SpeedupX: map[string]Speedup{},
+	out := benchgate.LocmpsFile{
+		File:     benchgate.New[benchgate.LocmpsResult]("Mid-scale LoC-MPS scheduler benchmarks (synthetic graphs, CCR=0.1, seed 7). Baseline is preserved across runs; delete this file to re-baseline, or re-measure single cases with -rebaseline (reference scheduler: memo/resume off). Each figure is the fastest of -reps repetitions."),
+		SpeedupX: map[string]benchgate.Speedup{},
 	}
-	if prev, err := load(path); err != nil {
+	prev, _, err := benchgate.Read[benchgate.LocmpsFile](path)
+	if err != nil {
 		return err
-	} else if prev != nil && len(prev.Baseline) > 0 {
-		out.Baseline = prev.Baseline
-		if prev.Note != "" {
-			out.Note = prev.Note
-		}
 	}
 
 	for _, name := range splitNames(rebase) {
 		cs, ok := caseByName(name)
 		if !ok {
 			return fmt.Errorf("-rebaseline: unknown case %q", name)
-		}
-		if out.Baseline == nil {
-			out.Baseline = map[string]Result{}
 		}
 		r, err := measure(cs, reps, true)
 		if err != nil {
@@ -693,7 +316,7 @@ func run(path, rebase string, reps int) error {
 		if err != nil {
 			return fmt.Errorf("%s (anytime): %w", cs.name, err)
 		}
-		out.AnytimeTradeoff = map[string][]TradeoffPoint{cs.name: curve}
+		out.AnytimeTradeoff = map[string][]benchgate.TradeoffPoint{cs.name: curve}
 		for _, pt := range curve {
 			budget := fmt.Sprintf("iters=%d", pt.MaxIterations)
 			if pt.MaxIterations == 0 {
@@ -703,7 +326,7 @@ func run(path, rebase string, reps int) error {
 				cs.name, budget, pt.Ns, pt.Makespan, pt.QualityRatio, pt.Truncated)
 		}
 	}
-	out.Portfolio = map[string]PortfolioEntry{}
+	out.Portfolio = map[string]benchgate.PortfolioEntry{}
 	for _, pc := range pfCases {
 		e, err := measurePortfolio(pc)
 		if err != nil {
@@ -713,22 +336,10 @@ func run(path, rebase string, reps int) error {
 		fmt.Printf("%-34s portfolio %.6g = min over %d engines (winner %s, race %v)\n",
 			pc.name, e.PortfolioMakespan, len(e.EngineMakespans), e.Winner, time.Duration(e.RaceNs))
 	}
-	if out.Baseline == nil {
-		out.Baseline = out.Current
-		fmt.Println("no existing baseline: current run recorded as baseline")
-	} else {
-		// Cases added after the baseline was first recorded start their
-		// trajectory at this run.
-		for name, cur := range out.Current {
-			if _, ok := out.Baseline[name]; !ok {
-				out.Baseline[name] = cur
-				fmt.Printf("%-34s new case: current run backfilled into baseline\n", name)
-			}
-		}
-	}
+	out.Update(prev.File, os.Stderr)
 	for name, cur := range out.Current {
-		if base, ok := out.Baseline[name]; ok && cur.NsPerOp > 0 && cur.AllocsPerOp > 0 {
-			out.SpeedupX[name] = Speedup{
+		if base := out.Baseline[name]; cur.NsPerOp > 0 && cur.AllocsPerOp > 0 {
+			out.SpeedupX[name] = benchgate.Speedup{
 				Ns:     base.NsPerOp / cur.NsPerOp,
 				Allocs: base.AllocsPerOp / cur.AllocsPerOp,
 			}
@@ -736,15 +347,7 @@ func run(path, rebase string, reps int) error {
 				name, out.SpeedupX[name].Ns, out.SpeedupX[name].Allocs)
 		}
 	}
-	warnStale(&out)
-	warnStaleRaw("BENCH_serve.json")
-	warnStaleRaw("BENCH_stream.json")
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return benchgate.Save(path, out)
 }
 
 // tradeoffCurve measures the anytime makespan-vs-latency curve on one
@@ -752,7 +355,7 @@ func run(path, rebase string, reps int) error {
 // wall clock in the stop rule) and the wall time it cost. Monotonicity of
 // the quality ratio across growing budgets is asserted by the core tests;
 // here the points are only recorded.
-func tradeoffCurve(cs benchCase) ([]TradeoffPoint, error) {
+func tradeoffCurve(cs benchCase) ([]benchgate.TradeoffPoint, error) {
 	p := locmps.DefaultSynthParams()
 	p.Tasks = cs.tasks
 	p.CCR = 0.1
@@ -763,14 +366,14 @@ func tradeoffCurve(cs benchCase) ([]TradeoffPoint, error) {
 	}
 	c := locmps.Cluster{P: cs.procs, Bandwidth: 12.5e6, Overlap: true}
 	ctx := context.Background()
-	curve := make([]TradeoffPoint, 0, len(tradeoffBudgets))
+	curve := make([]benchgate.TradeoffPoint, 0, len(tradeoffBudgets))
 	for _, iters := range tradeoffBudgets {
 		t0 := time.Now()
 		res, err := locmps.ScheduleAnytime(ctx, tg, c, locmps.Budget{MaxIterations: iters})
 		if err != nil {
 			return nil, err
 		}
-		curve = append(curve, TradeoffPoint{
+		curve = append(curve, benchgate.TradeoffPoint{
 			MaxIterations: iters,
 			Ns:            float64(time.Since(t0)),
 			Makespan:      res.Schedule.Makespan,
@@ -779,52 +382,6 @@ func tradeoffCurve(cs benchCase) ([]TradeoffPoint, error) {
 		})
 	}
 	return curve, nil
-}
-
-// warnStale flags every case whose baseline and current snapshots are
-// byte-identical: the 1.0x speedup such a pair produces is the fingerprint
-// of a backfilled (never re-measured) baseline, not a measurement.
-func warnStale(f *File) {
-	for name, cur := range f.Current {
-		base, ok := f.Baseline[name]
-		if !ok {
-			continue
-		}
-		bj, err1 := json.Marshal(base)
-		cj, err2 := json.Marshal(cur)
-		if err1 == nil && err2 == nil && bytes.Equal(bj, cj) {
-			fmt.Fprintf(os.Stderr,
-				"benchjson: warning: %s baseline == current byte-for-byte (stale backfill, speedup vacuously 1.0x); re-measure it with -rebaseline %s\n",
-				name, name)
-		}
-	}
-}
-
-// warnStaleRaw applies the same stale-baseline check to a sibling benchmark
-// file this tool does not write (currently BENCH_serve.json, produced by
-// cmd/loadgen): any case whose baseline and current raw JSON are
-// byte-identical is flagged. The file's schema doesn't matter — only the
-// baseline/current maps are compared — and a missing file is fine.
-func warnStaleRaw(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return
-	}
-	var f struct {
-		Baseline map[string]json.RawMessage `json:"baseline"`
-		Current  map[string]json.RawMessage `json:"current"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: warning: %s is not valid JSON: %v\n", path, err)
-		return
-	}
-	for name, cur := range f.Current {
-		if base, ok := f.Baseline[name]; ok && bytes.Equal(base, cur) {
-			fmt.Fprintf(os.Stderr,
-				"benchjson: warning: %s: %s baseline == current byte-for-byte (stale backfill); delete the file to re-baseline\n",
-				path, name)
-		}
-	}
 }
 
 func splitNames(s string) []string {
@@ -846,35 +403,20 @@ func caseByName(name string) (benchCase, bool) {
 	return benchCase{}, false
 }
 
-func load(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("existing %s is not valid: %w", path, err)
-	}
-	return &f, nil
-}
-
 // measure builds the same instance as the bench_test.go benchmark of the
 // same name and times the scheduler on it: the optimized LoC-MPS, or (for
 // re-baselining) the reference configuration with its cross-run
 // accelerations off. Timing repeats reps times and the fastest repetition
 // is recorded, which suppresses scheduler jitter the same way benchstat's
 // min column does.
-func measure(cs benchCase, reps int, reference bool) (Result, error) {
+func measure(cs benchCase, reps int, reference bool) (benchgate.LocmpsResult, error) {
 	p := locmps.DefaultSynthParams()
 	p.Tasks = cs.tasks
 	p.CCR = 0.1
 	p.Seed = 7
 	tg, err := locmps.Synthetic(p)
 	if err != nil {
-		return Result{}, err
+		return benchgate.LocmpsResult{}, err
 	}
 	c := locmps.Cluster{P: cs.procs, Bandwidth: 12.5e6, Overlap: true}
 	newAlg := locmps.NewLoCMPS
@@ -885,11 +427,11 @@ func measure(cs benchCase, reps int, reference bool) (Result, error) {
 	alg := newAlg()
 	s, err := alg.Schedule(tg, c)
 	if err != nil {
-		return Result{}, err
+		return benchgate.LocmpsResult{}, err
 	}
 	cpr, err := locmps.NewCPR().Schedule(tg, c)
 	if err != nil {
-		return Result{}, err
+		return benchgate.LocmpsResult{}, err
 	}
 
 	var best testing.BenchmarkResult
@@ -905,13 +447,13 @@ func measure(cs benchCase, reps int, reference bool) (Result, error) {
 			}
 		})
 		if benchErr != nil {
-			return Result{}, benchErr
+			return benchgate.LocmpsResult{}, benchErr
 		}
 		if rep == 0 || r.NsPerOp() < best.NsPerOp() {
 			best = r
 		}
 	}
-	res := Result{
+	res := benchgate.LocmpsResult{
 		NsPerOp:     float64(best.NsPerOp()),
 		BytesPerOp:  float64(best.AllocedBytesPerOp()),
 		AllocsPerOp: float64(best.AllocsPerOp()),

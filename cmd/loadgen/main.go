@@ -17,7 +17,9 @@
 // "current" snapshot plus derived speedups, the same convention as
 // BENCH_locmps.json; delete the file to re-baseline. The host's CPU count
 // is recorded too: cold throughput is compute-bound, so scaling with worker
-// count is only observable when the host has at least that many CPUs.
+// count is only observable when the host has at least that many CPUs. The
+// schema, the baseline bookkeeping and the smoke checks live in
+// internal/benchgate.
 //
 // Three network cases ride along, each against self-hosted HTTP nodes: warm
 // throughput over the wire vs in-process on the same mid-scale stream, the
@@ -41,110 +43,23 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"locmps"
+	"locmps/internal/benchgate"
 )
 
-// Result is one load-generation snapshot. Throughput cases fill the phase
-// fields; the hit-speedup case fills the latency pair and the ratio.
-type Result struct {
-	Workers  int `json:"workers,omitempty"`
-	Distinct int `json:"distinct_requests,omitempty"`
-	// Cold phase: every request is a cold scheduler run.
-	ColdSchedPerSec float64 `json:"cold_schedules_per_sec,omitempty"`
-	ColdP50Ns       float64 `json:"cold_p50_ns,omitempty"`
-	ColdP99Ns       float64 `json:"cold_p99_ns,omitempty"`
-	// Warm phase: the same stream replayed out of the result cache.
-	WarmSchedPerSec float64 `json:"warm_schedules_per_sec,omitempty"`
-	WarmP50Ns       float64 `json:"warm_p50_ns,omitempty"`
-	WarmP99Ns       float64 `json:"warm_p99_ns,omitempty"`
-	// Hit-speedup case: one instance cold vs served from the cache.
-	ColdNs      float64 `json:"cold_ns,omitempty"`
-	WarmHitNs   float64 `json:"warm_hit_p50_ns,omitempty"`
-	HitSpeedupX float64 `json:"hit_speedup_x,omitempty"`
-	// Deadline case: one instance scheduled under a wall-clock anytime
-	// budget against the same instance's full run. QualityRatio is the
-	// anytime schedule's makespan over the instance's certified lower
-	// bound (>= 1 always); Truncated says whether the budget actually cut
-	// the search short on this host.
-	DeadlineNs      float64 `json:"deadline_ns,omitempty"`
-	AnytimeNs       float64 `json:"anytime_ns,omitempty"`
-	AnytimeMakespan float64 `json:"anytime_makespan,omitempty"`
-	FullMakespan    float64 `json:"full_makespan,omitempty"`
-	QualityRatio    float64 `json:"quality_ratio,omitempty"`
-	Truncated       bool    `json:"truncated,omitempty"`
-	// Network case: the same cold/warm phases driven over HTTP against
-	// self-hosted nodes, and the warm network throughput as a fraction of
-	// the in-process warm throughput on the same request set.
-	NetColdSchedPerSec    float64 `json:"net_cold_schedules_per_sec,omitempty"`
-	NetColdP50Ns          float64 `json:"net_cold_p50_ns,omitempty"`
-	NetColdP99Ns          float64 `json:"net_cold_p99_ns,omitempty"`
-	NetWarmSchedPerSec    float64 `json:"net_warm_schedules_per_sec,omitempty"`
-	NetWarmP50Ns          float64 `json:"net_warm_p50_ns,omitempty"`
-	NetWarmP99Ns          float64 `json:"net_warm_p99_ns,omitempty"`
-	InprocWarmSchedPerSec float64 `json:"inproc_warm_schedules_per_sec,omitempty"`
-	NetVsInprocWarmX      float64 `json:"net_vs_inproc_warm_x,omitempty"`
-	// Hedging case: warm p99 against a slow home node, with hedged retries
-	// off vs on; HedgeWinX = unhedged/hedged.
-	UnhedgedP99Ns float64 `json:"unhedged_p99_ns,omitempty"`
-	HedgedP99Ns   float64 `json:"hedged_p99_ns,omitempty"`
-	HedgeWinX     float64 `json:"hedge_win_x,omitempty"`
-	Hedges        uint64  `json:"hedges,omitempty"`
-	// Admission and disruption counters observed during the case, summed
-	// across nodes: Rejected (queue-full), Cancelled (client went away),
-	// Shed (HTTP admission control), and the shed fraction of all HTTP
-	// schedule attempts.
-	Rejected     uint64  `json:"rejected,omitempty"`
-	Cancelled    uint64  `json:"cancelled,omitempty"`
-	Shed         uint64  `json:"shed,omitempty"`
-	ShedFraction float64 `json:"shed_fraction,omitempty"`
-	// L2Hits counts second-level (disk) cache hits during the case.
-	L2Hits uint64 `json:"l2_hits,omitempty"`
-	// Portfolio case: one instance raced cold across the engine portfolio,
-	// then warm deadline-bounded repeats routed via the winner cache to the
-	// winning engine alone, against the same engine called directly.
-	// WarmOverheadX = winner-routed p50 / direct p50 — the price of the
-	// routing layer, gated at <= 1.10 by benchjson -gate.
-	PortfolioEngines  int     `json:"portfolio_engines,omitempty"`
-	RaceNs            float64 `json:"race_ns,omitempty"`
-	PortfolioWinner   string  `json:"portfolio_winner,omitempty"`
-	WinnerRoutedP50Ns float64 `json:"winner_routed_p50_ns,omitempty"`
-	DirectP50Ns       float64 `json:"direct_p50_ns,omitempty"`
-	WarmOverheadX     float64 `json:"warm_overhead_x,omitempty"`
-	WinnerHits        uint64  `json:"winner_hits,omitempty"`
-}
-
-// File is the on-disk layout of BENCH_serve.json.
-type File struct {
-	Note string `json:"note,omitempty"`
-	// CPUs is the host's CPU count when "current" was recorded. Cold
-	// throughput cannot scale past it regardless of worker count.
-	CPUs     int                `json:"cpus"`
-	Baseline map[string]Result  `json:"baseline"`
-	Current  map[string]Result  `json:"current"`
-	SpeedupX map[string]Speedup `json:"speedup_vs_baseline"`
-}
-
-// Speedup compares current against baseline: cold throughput as
-// current/baseline (higher is better), warm hit latency as
-// baseline/current (lower is better).
-type Speedup struct {
-	ColdThroughput float64 `json:"cold_throughput,omitempty"`
-	WarmHitNs      float64 `json:"warm_hit_ns,omitempty"`
-}
+// Result is one case's snapshot in the BENCH_serve.json schema.
+type Result = benchgate.ServeResult
 
 type config struct {
 	workerCounts []int
@@ -234,7 +149,6 @@ func run(path string, smoke bool, workers int, deadline time.Duration) error {
 	if deadline > 0 {
 		cfg.deadline = deadline
 	}
-	cpus := runtime.NumCPU()
 	if procs, max := runtime.GOMAXPROCS(0), cfg.workerCounts[len(cfg.workerCounts)-1]; max > procs {
 		fmt.Fprintf(os.Stderr,
 			"loadgen: warning: %d workers exceed GOMAXPROCS=%d; they will time-slice, not parallelize — cold throughput and latency will not reflect %d-way hardware\n",
@@ -313,121 +227,37 @@ func run(path string, smoke bool, workers int, deadline time.Duration) error {
 		l2Name, time.Duration(l2r.ColdNs), time.Duration(l2r.WarmHitNs), l2r.HitSpeedupX, l2r.L2Hits)
 
 	if smoke {
-		return smokeChecks(current, hitName, dlName, portName, netName, hedgeName, l2Name)
+		if err := benchgate.SmokeChecks(current, hitName, dlName, portName, netName, hedgeName, l2Name); err != nil {
+			return err
+		}
+		fmt.Println("smoke checks passed")
+		return nil
 	}
 
-	out := File{
-		Note:     "Scheduling-service load generation (closed loop): cold and cache-hit throughput and latency per worker count, plus the cache-hit speedup on one mid-scale instance. Baseline is preserved across runs; delete this file to re-baseline. Cold throughput is compute-bound and only scales with workers when the host has as many CPUs (see \"cpus\").",
-		CPUs:     cpus,
-		Current:  current,
-		SpeedupX: map[string]Speedup{},
+	out := benchgate.ServeFile{
+		File:     benchgate.New[Result]("Scheduling-service load generation (closed loop): cold and cache-hit throughput and latency per worker count, plus the cache-hit speedup on one mid-scale instance. Baseline is preserved across runs; delete this file to re-baseline. Cold throughput is compute-bound and only scales with workers when the host has as many CPUs (see \"cpus\")."),
+		SpeedupX: map[string]benchgate.ServeSpeedup{},
 	}
-	if prev, err := load(path); err != nil {
+	out.Current = current
+	prev, _, err := benchgate.Read[benchgate.ServeFile](path)
+	if err != nil {
 		return err
-	} else if prev != nil && len(prev.Baseline) > 0 {
-		out.Baseline = prev.Baseline
-		if prev.Note != "" {
-			out.Note = prev.Note
-		}
 	}
-	justBaselined := map[string]bool{}
-	if out.Baseline == nil {
-		out.Baseline = out.Current
-		for name := range out.Current {
-			justBaselined[name] = true
-		}
-		fmt.Println("no existing baseline: current run recorded as baseline")
-	} else {
-		for name, cur := range out.Current {
-			if _, ok := out.Baseline[name]; !ok {
-				out.Baseline[name] = cur
-				justBaselined[name] = true
-				fmt.Printf("%-38s new case: current run backfilled into baseline\n", name)
-			}
-		}
-	}
+	out.Update(prev.File, os.Stderr)
 	for name, cur := range out.Current {
-		base, ok := out.Baseline[name]
-		if !ok {
-			continue
-		}
-		var sp Speedup
+		base := out.Baseline[name]
+		var sp benchgate.ServeSpeedup
 		if base.ColdSchedPerSec > 0 && cur.ColdSchedPerSec > 0 {
 			sp.ColdThroughput = cur.ColdSchedPerSec / base.ColdSchedPerSec
 		}
 		if base.WarmHitNs > 0 && cur.WarmHitNs > 0 {
 			sp.WarmHitNs = base.WarmHitNs / cur.WarmHitNs
 		}
-		if sp != (Speedup{}) {
+		if sp != (benchgate.ServeSpeedup{}) {
 			out.SpeedupX[name] = sp
 		}
 	}
-	warnStale(&out, justBaselined)
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// smokeChecks validates the invariants a CI smoke run cares about: the
-// cache must actually serve hits, hits must beat cold runs, the
-// deadline-bounded anytime result must be a valid (bound-respecting,
-// no-better-than-full) schedule, and the network layer must show its three
-// wins — warm hits over HTTP, a hedging tail-latency cut, and a disk hit
-// after restart.
-func smokeChecks(current map[string]Result, hitName, dlName, portName, netName, hedgeName, l2Name string) error {
-	special := map[string]bool{hitName: true, dlName: true, portName: true, netName: true, hedgeName: true, l2Name: true}
-	for name, r := range current {
-		if special[name] {
-			continue
-		}
-		if r.WarmSchedPerSec <= r.ColdSchedPerSec {
-			return fmt.Errorf("%s: warm throughput %.2f/s did not beat cold %.2f/s",
-				name, r.WarmSchedPerSec, r.ColdSchedPerSec)
-		}
-	}
-	hit := current[hitName]
-	if hit.HitSpeedupX < 2 {
-		return fmt.Errorf("%s: cache hit only %.1fx faster than cold", hitName, hit.HitSpeedupX)
-	}
-	dl := current[dlName]
-	if dl.QualityRatio < 1 {
-		return fmt.Errorf("%s: quality ratio %.4f below 1 — schedule beats the certified lower bound", dlName, dl.QualityRatio)
-	}
-	if dl.AnytimeMakespan < dl.FullMakespan*(1-1e-9) {
-		return fmt.Errorf("%s: anytime makespan %.6g better than the full run's %.6g", dlName, dl.AnytimeMakespan, dl.FullMakespan)
-	}
-	if err := portfolioChecks(current[portName], portName); err != nil {
-		return err
-	}
-	net := current[netName]
-	if net.NetWarmSchedPerSec <= net.NetColdSchedPerSec {
-		return fmt.Errorf("%s: warm network throughput %.2f/s did not beat cold %.2f/s",
-			netName, net.NetWarmSchedPerSec, net.NetColdSchedPerSec)
-	}
-	if net.NetVsInprocWarmX <= 0.02 {
-		return fmt.Errorf("%s: warm network throughput is only %.1f%% of in-process",
-			netName, 100*net.NetVsInprocWarmX)
-	}
-	hedge := current[hedgeName]
-	if hedge.Hedges == 0 {
-		return fmt.Errorf("%s: no hedges fired against a slow home node", hedgeName)
-	}
-	if hedge.HedgedP99Ns >= hedge.UnhedgedP99Ns {
-		return fmt.Errorf("%s: hedged p99 %v no better than unhedged %v",
-			hedgeName, time.Duration(hedge.HedgedP99Ns), time.Duration(hedge.UnhedgedP99Ns))
-	}
-	l2r := current[l2Name]
-	if l2r.L2Hits == 0 {
-		return fmt.Errorf("%s: restarted node served no disk hits", l2Name)
-	}
-	if l2r.HitSpeedupX < 2 {
-		return fmt.Errorf("%s: disk hit only %.1fx faster than cold", l2Name, l2r.HitSpeedupX)
-	}
-	fmt.Println("smoke checks passed")
-	return nil
+	return benchgate.Save(path, out)
 }
 
 // portfolioSmoke is the -portfolio-smoke entry point: the portfolio case
@@ -444,30 +274,10 @@ func portfolioSmoke() error {
 	fmt.Printf("%-38s race of %d engines %v (winner %s); warm routed p50 %v vs direct %v = %.3fx overhead (%d winner hits)\n",
 		name, port.PortfolioEngines, time.Duration(port.RaceNs), port.PortfolioWinner,
 		time.Duration(port.WinnerRoutedP50Ns), time.Duration(port.DirectP50Ns), port.WarmOverheadX, port.WinnerHits)
-	if err := portfolioChecks(port, name); err != nil {
+	if err := benchgate.PortfolioChecks(port, name); err != nil {
 		return err
 	}
 	fmt.Println("portfolio smoke passed")
-	return nil
-}
-
-// portfolioChecks validates the portfolio case's invariants: the winner
-// cache must actually route (portfolioCase already asserts the hit count
-// and the routed-vs-race makespan equality; failures surface as errors),
-// and the routing overhead must stay moderate. The smoke bound is looser
-// than the 1.10x the bench gate enforces on the committed file — a CI smoke
-// host is noisy and measures few reps.
-func portfolioChecks(port Result, portName string) error {
-	if port.PortfolioWinner == "" {
-		return fmt.Errorf("%s: race committed no winner", portName)
-	}
-	if port.WinnerHits == 0 {
-		return fmt.Errorf("%s: no winner-cache hits", portName)
-	}
-	if port.WarmOverheadX > 1.25 {
-		return fmt.Errorf("%s: winner-routed p50 is %.2fx the direct call (smoke bound 1.25x)",
-			portName, port.WarmOverheadX)
-	}
 	return nil
 }
 
@@ -492,9 +302,9 @@ func stream(n, tasks, procs int, seedBase int64) ([]locmps.ServiceRequest, error
 	return reqs, nil
 }
 
-// drive pushes rounds×reqs through the service with `concurrency` closed-loop
+// drive pushes rounds×reqs through submit with `concurrency` closed-loop
 // submitters and returns the wall time and per-request latencies.
-func drive(svc *locmps.Service, reqs []locmps.ServiceRequest, rounds, concurrency int) (time.Duration, []time.Duration, error) {
+func drive(submit func(locmps.ServiceRequest) error, reqs []locmps.ServiceRequest, rounds, concurrency int) (time.Duration, []time.Duration, error) {
 	total := rounds * len(reqs)
 	lats := make([]time.Duration, total)
 	sem := make(chan struct{}, concurrency)
@@ -506,9 +316,8 @@ func drive(svc *locmps.Service, reqs []locmps.ServiceRequest, rounds, concurrenc
 		wg.Add(1)
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			req := reqs[i%len(reqs)]
 			t0 := time.Now()
-			if _, err := svc.Schedule(req); err != nil {
+			if err := submit(reqs[i%len(reqs)]); err != nil {
 				errCh <- err
 				return
 			}
@@ -525,22 +334,14 @@ func drive(svc *locmps.Service, reqs []locmps.ServiceRequest, rounds, concurrenc
 	return elapsed, lats, nil
 }
 
-// quantile is the nearest-rank percentile of lats — the same rank rule as
-// internal/latring, so the driver-side and service-side quantiles agree.
-func quantile(lats []time.Duration, q int) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	cp := append([]time.Duration(nil), lats...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	i := (len(cp)*q + 99) / 100
-	if i < 1 {
-		i = 1
-	}
-	if i > len(cp) {
-		i = len(cp)
-	}
-	return cp[i-1]
+// inProcess submits to a service directly; overHTTP submits through a
+// fleet client.
+func inProcess(svc *locmps.Service) func(locmps.ServiceRequest) error {
+	return func(req locmps.ServiceRequest) error { _, err := svc.Schedule(req); return err }
+}
+
+func overHTTP(c *locmps.Client) func(locmps.ServiceRequest) error {
+	return func(req locmps.ServiceRequest) error { _, err := c.Schedule(context.Background(), req); return err }
 }
 
 // throughputCase measures one worker count: a cold pass over distinct
@@ -560,11 +361,11 @@ func throughputCase(workers int, cfg config) (Result, error) {
 
 	// Oversubscribe the submitters slightly so every worker stays fed.
 	concurrency := 2 * workers
-	coldWall, coldLats, err := drive(svc, reqs, 1, concurrency)
+	coldWall, coldLats, err := drive(inProcess(svc), reqs, 1, concurrency)
 	if err != nil {
 		return Result{}, err
 	}
-	warmWall, warmLats, err := drive(svc, reqs, cfg.warmRounds, concurrency)
+	warmWall, warmLats, err := drive(inProcess(svc), reqs, cfg.warmRounds, concurrency)
 	if err != nil {
 		return Result{}, err
 	}
@@ -576,15 +377,19 @@ func throughputCase(workers int, cfg config) (Result, error) {
 		Workers:         workers,
 		Distinct:        cfg.distinct,
 		ColdSchedPerSec: float64(len(reqs)) / coldWall.Seconds(),
-		ColdP50Ns:       float64(quantile(coldLats, 50)),
-		ColdP99Ns:       float64(quantile(coldLats, 99)),
+		ColdP50Ns:       float64(benchgate.Quantile(coldLats, 50)),
+		ColdP99Ns:       float64(benchgate.Quantile(coldLats, 99)),
 		WarmSchedPerSec: float64(len(warmLats)) / warmWall.Seconds(),
-		WarmP50Ns:       float64(quantile(warmLats, 50)),
-		WarmP99Ns:       float64(quantile(warmLats, 99)),
+		WarmP50Ns:       float64(benchgate.Quantile(warmLats, 50)),
+		WarmP99Ns:       float64(benchgate.Quantile(warmLats, 99)),
 		Rejected:        st.Rejected,
 		Cancelled:       st.Cancelled,
 	}, nil
 }
+
+// oneWorker configures the single-instance cases' service: one worker,
+// shallow queue, small cache.
+var oneWorker = locmps.ServiceConfig{Shards: 1, WorkersPerShard: 1, QueueDepth: 8, CacheEntries: 16}
 
 // hitSpeedupCase times one mid-scale instance cold, then repeatedly as a
 // cache hit, and reports cold / p50(hit).
@@ -594,12 +399,7 @@ func hitSpeedupCase(cfg config) (Result, error) {
 		return Result{}, err
 	}
 	req := reqs[0]
-	svc := locmps.NewService(locmps.ServiceConfig{
-		Shards:          1,
-		WorkersPerShard: 1,
-		QueueDepth:      8,
-		CacheEntries:    16,
-	})
+	svc := locmps.NewService(oneWorker)
 	defer svc.Close()
 
 	t0 := time.Now()
@@ -619,7 +419,7 @@ func hitSpeedupCase(cfg config) (Result, error) {
 	if st := svc.Stats(); st.CacheHits != uint64(cfg.hitReps) {
 		return Result{}, fmt.Errorf("hit case: %d cache hits, want %d", st.CacheHits, cfg.hitReps)
 	}
-	warmNs := float64(quantile(hits, 50))
+	warmNs := float64(benchgate.Quantile(hits, 50))
 	return Result{
 		ColdNs:      coldNs,
 		WarmHitNs:   warmNs,
@@ -645,12 +445,7 @@ func deadlineCase(cfg config) (Result, error) {
 		return Result{}, err
 	}
 	req := reqs[0]
-	svc := locmps.NewService(locmps.ServiceConfig{
-		Shards:          1,
-		WorkersPerShard: 1,
-		QueueDepth:      8,
-		CacheEntries:    16,
-	})
+	svc := locmps.NewService(oneWorker)
 	defer svc.Close()
 	ctx := context.Background()
 
@@ -682,14 +477,20 @@ func deadlineCase(cfg config) (Result, error) {
 	return best, nil
 }
 
+// portBatch is the number of calls a portfolio rep times per variant.
+const portBatch = 64
+
 // portfolioCase races the default engine portfolio cold on one mid-scale
 // instance, then measures the warm path the winner cache buys: repeat
 // deadline-bounded requests (which bypass the result caches) route straight
 // to the recorded winning engine. The same engine is also called directly —
 // Options.Algorithm naming the winner — and the A/B p50 ratio is the
 // routing overhead, which must stay within 10% (benchjson -gate enforces
-// it on the committed file). The two variants alternate rep by rep so slow
-// host drift cancels out of the ratio.
+// it on the committed file). A warm call takes tens of microseconds, so
+// each rep times a batch of portBatch calls per variant and the p50s are
+// taken over every timed call: a few preempted calls then move neither
+// side. The two variants alternate call by call, so host noise lasting
+// longer than one call lands on both sides of the ratio.
 func portfolioCase(cfg config) (Result, error) {
 	reqs, err := stream(1, cfg.hitTasks, cfg.hitProcs, 15000)
 	if err != nil {
@@ -697,12 +498,7 @@ func portfolioCase(cfg config) (Result, error) {
 	}
 	raceReq := reqs[0]
 	raceReq.Portfolio = locmps.DefaultPortfolio()
-	svc := locmps.NewService(locmps.ServiceConfig{
-		Shards:          1,
-		WorkersPerShard: 1,
-		QueueDepth:      8,
-		CacheEntries:    16,
-	})
+	svc := locmps.NewService(oneWorker)
 	defer svc.Close()
 	ctx := context.Background()
 
@@ -713,6 +509,9 @@ func portfolioCase(cfg config) (Result, error) {
 	}
 	raceNs := float64(time.Since(t0))
 	winner := cold.Algorithm
+	// Collect the race's garbage now, so that its GC cycles are not billed
+	// to the timed calls.
+	runtime.GC()
 
 	directReq := reqs[0]
 	directReq.Options = locmps.ServiceOptions{Algorithm: winner}
@@ -723,24 +522,28 @@ func portfolioCase(cfg config) (Result, error) {
 	budget := func() locmps.Budget {
 		return locmps.Budget{Deadline: time.Now().Add(time.Minute)}
 	}
-	routed := make([]time.Duration, reps)
-	direct := make([]time.Duration, reps)
-	for i := 0; i < reps; i++ {
-		t0 = time.Now()
-		ar, err := svc.ScheduleAnytime(ctx, raceReq, budget())
+	// call times one call of req; a winner-routed call must reproduce the
+	// race's makespan.
+	call := func(req locmps.ServiceRequest) (time.Duration, error) {
+		t0 := time.Now()
+		ar, err := svc.ScheduleAnytime(ctx, req, budget())
+		if err == nil && req.Portfolio != nil && ar.Schedule.Makespan != cold.Makespan {
+			err = fmt.Errorf("portfolio case: winner-routed makespan %.6g != race's %.6g",
+				ar.Schedule.Makespan, cold.Makespan)
+		}
+		return time.Since(t0), err
+	}
+	var routed, direct []time.Duration
+	for i := 0; i < reps*portBatch; i++ {
+		r, err := call(raceReq)
 		if err != nil {
 			return Result{}, err
 		}
-		routed[i] = time.Since(t0)
-		if ar.Schedule.Makespan != cold.Makespan {
-			return Result{}, fmt.Errorf("portfolio case: winner-routed makespan %.6g != race's %.6g",
-				ar.Schedule.Makespan, cold.Makespan)
-		}
-		t0 = time.Now()
-		if _, err := svc.ScheduleAnytime(ctx, directReq, budget()); err != nil {
+		d, err := call(directReq)
+		if err != nil {
 			return Result{}, err
 		}
-		direct[i] = time.Since(t0)
+		routed, direct = append(routed, r), append(direct, d)
 	}
 	st := svc.Stats()
 	if st.WinnerHits < uint64(reps) {
@@ -751,34 +554,14 @@ func portfolioCase(cfg config) (Result, error) {
 		PortfolioEngines:  len(raceReq.Portfolio),
 		RaceNs:            raceNs,
 		PortfolioWinner:   winner,
-		WinnerRoutedP50Ns: float64(quantile(routed, 50)),
-		DirectP50Ns:       float64(quantile(direct, 50)),
+		WinnerRoutedP50Ns: float64(benchgate.Quantile(routed, 50)),
+		DirectP50Ns:       float64(benchgate.Quantile(direct, 50)),
 		WinnerHits:        st.WinnerHits,
 	}
 	if r.DirectP50Ns > 0 {
 		r.WarmOverheadX = r.WinnerRoutedP50Ns / r.DirectP50Ns
 	}
 	return r, nil
-}
-
-// warnStale flags cases whose baseline and current snapshots are
-// byte-identical — the fingerprint of a backfilled, never re-measured
-// baseline. Cases baselined by this very run are exempt: their equality is
-// by construction, not staleness.
-func warnStale(f *File, justBaselined map[string]bool) {
-	for name, cur := range f.Current {
-		base, ok := f.Baseline[name]
-		if !ok || justBaselined[name] {
-			continue
-		}
-		bj, err1 := json.Marshal(base)
-		cj, err2 := json.Marshal(cur)
-		if err1 == nil && err2 == nil && bytes.Equal(bj, cj) {
-			fmt.Fprintf(os.Stderr,
-				"loadgen: warning: %s baseline == current byte-for-byte (stale backfill); delete %s to re-baseline\n",
-				name, "BENCH_serve.json")
-		}
-	}
 }
 
 // node is one self-hosted scheduling node: a Service behind the HTTP
@@ -827,39 +610,6 @@ func slowBy(d time.Duration) func(http.Handler) http.Handler {
 	}
 }
 
-// driveClient is drive over HTTP: rounds×reqs closed-loop through a fleet
-// client.
-func driveClient(c *locmps.Client, reqs []locmps.ServiceRequest, rounds, concurrency int) (time.Duration, []time.Duration, error) {
-	total := rounds * len(reqs)
-	lats := make([]time.Duration, total)
-	sem := make(chan struct{}, concurrency)
-	errCh := make(chan error, total)
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	begin := time.Now()
-	for i := 0; i < total; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			t0 := time.Now()
-			if _, err := c.Schedule(ctx, reqs[i%len(reqs)]); err != nil {
-				errCh <- err
-				return
-			}
-			lats[i] = time.Since(t0)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(begin)
-	select {
-	case err := <-errCh:
-		return 0, nil, err
-	default:
-	}
-	return elapsed, lats, nil
-}
-
 // sumCounters folds the per-node admission and disruption counters into r.
 func sumCounters(r *Result, nodes ...*node) {
 	var served uint64
@@ -892,10 +642,10 @@ func netCase(cfg config) (Result, error) {
 	// In-process reference: warm throughput on the same stream.
 	ref := locmps.NewService(svcCfg)
 	defer ref.Close()
-	if _, _, err := drive(ref, reqs, 1, 4); err != nil {
+	if _, _, err := drive(inProcess(ref), reqs, 1, 4); err != nil {
 		return Result{}, err
 	}
-	inprocWall, _, err := drive(ref, reqs, cfg.netRounds, 4)
+	inprocWall, _, err := drive(inProcess(ref), reqs, cfg.netRounds, 4)
 	if err != nil {
 		return Result{}, err
 	}
@@ -925,22 +675,22 @@ func netCase(cfg config) (Result, error) {
 		return Result{}, err
 	}
 
-	coldWall, coldLats, err := driveClient(client, reqs, 1, 4)
+	coldWall, coldLats, err := drive(overHTTP(client), reqs, 1, 4)
 	if err != nil {
 		return Result{}, err
 	}
-	warmWall, warmLats, err := driveClient(client, reqs, cfg.netRounds, 4)
+	warmWall, warmLats, err := drive(overHTTP(client), reqs, cfg.netRounds, 4)
 	if err != nil {
 		return Result{}, err
 	}
 	r := Result{
 		Distinct:              cfg.netDistinct,
 		NetColdSchedPerSec:    float64(len(coldLats)) / coldWall.Seconds(),
-		NetColdP50Ns:          float64(quantile(coldLats, 50)),
-		NetColdP99Ns:          float64(quantile(coldLats, 99)),
+		NetColdP50Ns:          float64(benchgate.Quantile(coldLats, 50)),
+		NetColdP99Ns:          float64(benchgate.Quantile(coldLats, 99)),
 		NetWarmSchedPerSec:    float64(len(warmLats)) / warmWall.Seconds(),
-		NetWarmP50Ns:          float64(quantile(warmLats, 50)),
-		NetWarmP99Ns:          float64(quantile(warmLats, 99)),
+		NetWarmP50Ns:          float64(benchgate.Quantile(warmLats, 50)),
+		NetWarmP99Ns:          float64(benchgate.Quantile(warmLats, 99)),
 		InprocWarmSchedPerSec: inprocWarm,
 	}
 	if inprocWarm > 0 {
@@ -1034,8 +784,8 @@ func hedgeCase(cfg config) (Result, error) {
 		return Result{}, err
 	}
 	r := Result{
-		UnhedgedP99Ns: float64(quantile(slowLats, 99)),
-		HedgedP99Ns:   float64(quantile(fastLats, 99)),
+		UnhedgedP99Ns: float64(benchgate.Quantile(slowLats, 99)),
+		HedgedP99Ns:   float64(benchgate.Quantile(fastLats, 99)),
 		Hedges:        hedged.Stats().Hedges,
 	}
 	if r.HedgedP99Ns > 0 {
@@ -1145,17 +895,17 @@ func remote(addr string, smoke bool, expectL2 int) error {
 	if err != nil {
 		return err
 	}
-	coldWall, coldLats, err := driveClient(client, reqs, 1, 4)
+	coldWall, coldLats, err := drive(overHTTP(client), reqs, 1, 4)
 	if err != nil {
 		return err
 	}
-	warmWall, warmLats, err := driveClient(client, reqs, cfg.warmRounds, 4)
+	warmWall, warmLats, err := drive(overHTTP(client), reqs, cfg.warmRounds, 4)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("first pass %8.2f sched/s (p50 %v, p99 %v)   replay %9.0f sched/s (p50 %v, p99 %v)\n",
-		float64(len(coldLats))/coldWall.Seconds(), quantile(coldLats, 50), quantile(coldLats, 99),
-		float64(len(warmLats))/warmWall.Seconds(), quantile(warmLats, 50), quantile(warmLats, 99))
+		float64(len(coldLats))/coldWall.Seconds(), benchgate.Quantile(coldLats, 50), benchgate.Quantile(coldLats, 99),
+		float64(len(warmLats))/warmWall.Seconds(), benchgate.Quantile(warmLats, 50), benchgate.Quantile(warmLats, 99))
 
 	stats, err := client.NodeStats(ctx)
 	if err != nil {
@@ -1190,19 +940,4 @@ func remote(addr string, smoke bool, expectL2 int) error {
 	}
 	fmt.Println("remote drive passed")
 	return nil
-}
-
-func load(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("existing %s is not valid: %w", path, err)
-	}
-	return &f, nil
 }

@@ -25,7 +25,8 @@
 //
 // The file keeps a "baseline" (written once, preserved on reruns) and a
 // "current" snapshot, the same convention as the sibling BENCH files;
-// delete the file to re-baseline. With -smoke the tool writes nothing
+// delete the file to re-baseline. The schema, the baseline bookkeeping and
+// the gate's checks live in internal/benchgate. With -smoke the tool writes nothing
 // and instead asserts the streaming invariants on small scenarios —
 // drains to an audited end state, replay-rate floor, bit-identical
 // incremental-vs-scratch end states, t=0 batch equivalence, SWF replay
@@ -33,77 +34,24 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"time"
 
 	"locmps/internal/audit"
+	"locmps/internal/benchgate"
 	"locmps/internal/core"
 	"locmps/internal/model"
 	"locmps/internal/stream"
 )
 
-// Result is one case's snapshot. Fields are per-case: only the metrics
-// a case measures are set, the rest stay omitted.
-type Result struct {
-	Jobs      int `json:"jobs,omitempty"`
-	Events    int `json:"events,omitempty"`
-	Searches  int `json:"searches,omitempty"`
-	FastPaths int `json:"fast_paths,omitempty"`
-	Remaps    int `json:"remaps,omitempty"`
-	Failures  int `json:"failures,omitempty"`
-	Resizes   int `json:"resizes,omitempty"`
-
-	MaxActiveTasks int `json:"max_active_tasks,omitempty"`
-	ReplayedTasks  int `json:"replayed_tasks,omitempty"`
-
-	Makespan float64 `json:"makespan,omitempty"`
-
-	// ReplayRateEPS is events per wall-clock second over the whole
-	// replay — the throughput SLO.
-	ReplayRateEPS float64 `json:"replay_rate_eps,omitempty"`
-	// ReschedP50Ns / ReschedP99Ns are per-search latency quantiles —
-	// the tail SLO.
-	ReschedP50Ns float64 `json:"resched_p50_ns,omitempty"`
-	ReschedP99Ns float64 `json:"resched_p99_ns,omitempty"`
-
-	// IncrementalSearchNs and ScratchSearchNs sum real search time per
-	// mode; SpeedupX is their ratio, valid only when EndBitIdentical.
-	IncrementalSearchNs float64 `json:"incremental_search_ns,omitempty"`
-	ScratchSearchNs     float64 `json:"scratch_search_ns,omitempty"`
-	SpeedupX            float64 `json:"speedup_x,omitempty"`
-	EndBitIdentical     bool    `json:"end_bit_identical,omitempty"`
-
-	T0Match    bool `json:"t0_match,omitempty"`
-	AuditClean bool `json:"audit_clean,omitempty"`
-
-	// USL sweep: offered rates, measured mean active-job loads and
-	// achieved replay rates, plus the fitted law. USLPeak is omitted
-	// when the fit finds no coherency limit (unbounded peak).
-	Lambdas  []float64 `json:"lambdas,omitempty"`
-	Loads    []float64 `json:"loads,omitempty"`
-	Rates    []float64 `json:"rates,omitempty"`
-	USLGamma float64   `json:"usl_gamma,omitempty"`
-	USLAlpha float64   `json:"usl_alpha,omitempty"`
-	USLBeta  float64   `json:"usl_beta,omitempty"`
-	USLPeak  float64   `json:"usl_peak,omitempty"`
-}
-
-// File is the on-disk shape of BENCH_stream.json.
-type File struct {
-	Note     string            `json:"note"`
-	CPUs     int               `json:"cpus"`
-	Baseline map[string]Result `json:"baseline"`
-	Current  map[string]Result `json:"current"`
-}
+// Result is one case's snapshot in the BENCH_stream.json schema.
+type Result = benchgate.StreamResult
 
 func main() {
 	path := flag.String("o", "BENCH_stream.json", "output file")
@@ -210,23 +158,6 @@ func sumDurations(lats []time.Duration) time.Duration {
 	return total
 }
 
-// quantile is the nearest-rank quantile of lats (q in percent).
-func quantile(lats []time.Duration, q int) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	cp := append([]time.Duration(nil), lats...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	i := (len(cp)*q + 99) / 100
-	if i < 1 {
-		i = 1
-	}
-	if i > len(cp) {
-		i = len(cp)
-	}
-	return cp[i-1]
-}
-
 // sameEnd reports whether two end states are bit-identical schedules
 // over the same union graph.
 func sameEnd(a, b *stream.Result) bool {
@@ -237,21 +168,10 @@ func sameEnd(a, b *stream.Result) bool {
 }
 
 func run(path string, reps int) error {
-	out := File{
-		Note:     "Open-loop streaming scheduler benchmarks (Poisson arrivals, synthetic DAG jobs, seed 7/11). Baseline is preserved across runs; delete this file to re-baseline. speedup_x is incremental (pinned worker, concatenated tables) vs scratch (reference configuration, rebuilt unions) at bit-identical end states; timed replays keep the best of -reps repetitions.",
-		CPUs:     runtime.NumCPU(),
-		Current:  map[string]Result{},
-		Baseline: map[string]Result{},
-	}
-	prev, err := load(path)
+	out := benchgate.StreamFile{File: benchgate.New[Result]("Open-loop streaming scheduler benchmarks (Poisson arrivals, synthetic DAG jobs, seed 7/11). Baseline is preserved across runs; delete this file to re-baseline. speedup_x is incremental (pinned worker, concatenated tables) vs scratch (reference configuration, rebuilt unions) at bit-identical end states; timed replays keep the best of -reps repetitions.")}
+	prev, _, err := benchgate.Read[benchgate.StreamFile](path)
 	if err != nil {
 		return err
-	}
-	if prev != nil && len(prev.Baseline) > 0 {
-		out.Baseline = prev.Baseline
-		if prev.Note != "" {
-			out.Note = prev.Note
-		}
 	}
 
 	if r, err := steadyCase(reps); err != nil {
@@ -293,29 +213,8 @@ func run(path string, reps int) error {
 			"StreamUSLSweep", len(r.Rates), r.USLGamma, r.USLAlpha, r.USLBeta, peak)
 	}
 
-	justBaselined := map[string]bool{}
-	if len(out.Baseline) == 0 {
-		out.Baseline = out.Current
-		for name := range out.Current {
-			justBaselined[name] = true
-		}
-		fmt.Println("no existing baseline: current run recorded as baseline")
-	} else {
-		for name, cur := range out.Current {
-			if _, ok := out.Baseline[name]; !ok {
-				out.Baseline[name] = cur
-				justBaselined[name] = true
-				fmt.Printf("%-24s new case: current run backfilled into baseline\n", name)
-			}
-		}
-	}
-	warnStale(&out, justBaselined)
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	out.Update(prev.File, os.Stderr)
+	return benchgate.Save(path, out)
 }
 
 // steadyCase measures the steady Poisson stream in both modes. The
@@ -364,8 +263,8 @@ func steadyCase(reps int) (Result, error) {
 		ReplayedTasks:       inc.Stats.ReplayedTasks,
 		Makespan:            inc.End.Makespan,
 		ReplayRateEPS:       float64(len(inc.Events)) / wall.Seconds(),
-		ReschedP50Ns:        float64(quantile(incLats, 50)),
-		ReschedP99Ns:        float64(quantile(incLats, 99)),
+		ReschedP50Ns:        float64(benchgate.Quantile(incLats, 50)),
+		ReschedP99Ns:        float64(benchgate.Quantile(incLats, 99)),
 		IncrementalSearchNs: float64(incNs),
 		ScratchSearchNs:     float64(scrNs),
 		EndBitIdentical:     true,
@@ -579,41 +478,4 @@ func smokeChecks() error {
 	fmt.Printf("smoke checks passed: poisson %d events (%d fast paths), scratch bit-identical, t=0 == batch, SWF %d jobs drained\n",
 		len(inc.Events), inc.ResumedRuns, len(swfJobs))
 	return nil
-}
-
-func load(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &f, nil
-}
-
-// warnStale flags baseline==current pairs that were not just backfilled
-// this run: a byte-identical pair from an older run means the baseline
-// was never re-measured.
-func warnStale(f *File, justBaselined map[string]bool) {
-	for name, cur := range f.Current {
-		if justBaselined[name] {
-			continue
-		}
-		base, ok := f.Baseline[name]
-		if !ok {
-			continue
-		}
-		bj, err1 := json.Marshal(base)
-		cj, err2 := json.Marshal(cur)
-		if err1 == nil && err2 == nil && bytes.Equal(bj, cj) {
-			fmt.Fprintf(os.Stderr,
-				"streamgen: warning: %s baseline == current byte-for-byte (stale backfill); delete %s to re-baseline\n",
-				name, "BENCH_stream.json")
-		}
-	}
 }

@@ -64,11 +64,11 @@ func (r *Ring) snapshot() []int64 {
 	return cp
 }
 
-// rank maps a percentile to its nearest-rank index in a sorted sample of m
+// Rank maps a percentile to its nearest-rank index in a sorted sample of m
 // elements: ceil(q/100 * m) - 1, clamped to [0, m-1]. Unlike the naive
 // (m-1)*q/100 it never under-indexes the tail — with 2 samples the p99 is
 // the larger one, not the smaller.
-func rank(m, q int) int {
+func Rank(m, q int) int {
 	if m < 1 {
 		return 0
 	}
@@ -89,7 +89,7 @@ func (r *Ring) Quantile(q int) time.Duration {
 	if len(cp) == 0 {
 		return 0
 	}
-	return time.Duration(cp[rank(len(cp), q)])
+	return time.Duration(cp[Rank(len(cp), q)])
 }
 
 // Quantiles reports the window's p50 and p99 in one pass (zeros when
@@ -99,5 +99,5 @@ func (r *Ring) Quantiles() (p50, p99 time.Duration) {
 	if len(cp) == 0 {
 		return 0, 0
 	}
-	return time.Duration(cp[rank(len(cp), 50)]), time.Duration(cp[rank(len(cp), 99)])
+	return time.Duration(cp[Rank(len(cp), 50)]), time.Duration(cp[Rank(len(cp), 99)])
 }
