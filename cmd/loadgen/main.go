@@ -71,8 +71,9 @@ type config struct {
 	hitReps      int
 	deadline     time.Duration
 	// dlReps repeats the deadline-budget measurement; the repetition with
-	// the best (lowest) quality ratio is recorded. portReps repeats the
-	// portfolio warm-path A/B measurement.
+	// the best (lowest) quality ratio is recorded. portReps is the number of
+	// routed and of direct calls the portfolio warm-path A/B measurement
+	// times.
 	dlReps   int
 	portReps int
 	// Network cases: distinct requests and warm rounds driven over HTTP,
@@ -90,7 +91,7 @@ func fullConfig() config {
 		warmRounds: 3,
 		hitTasks:   50, hitProcs: 64, hitReps: 32,
 		deadline: 5 * time.Millisecond,
-		dlReps:   5, portReps: 8,
+		dlReps:   5, portReps: 512,
 		netDistinct: 6, netRounds: 6,
 		hedgeDelay: 30 * time.Millisecond, hedgeReps: 12,
 	}
@@ -103,7 +104,7 @@ func smokeConfig() config {
 		warmRounds: 2,
 		hitTasks:   20, hitProcs: 16, hitReps: 8,
 		deadline: 2 * time.Millisecond,
-		dlReps:   3, portReps: 3,
+		dlReps:   3, portReps: 192,
 		netDistinct: 3, netRounds: 2,
 		hedgeDelay: 15 * time.Millisecond, hedgeReps: 6,
 	}
@@ -477,9 +478,6 @@ func deadlineCase(cfg config) (Result, error) {
 	return best, nil
 }
 
-// portBatch is the number of calls a portfolio rep times per variant.
-const portBatch = 64
-
 // portfolioCase races the default engine portfolio cold on one mid-scale
 // instance, then measures the warm path the winner cache buys: repeat
 // deadline-bounded requests (which bypass the result caches) route straight
@@ -487,10 +485,10 @@ const portBatch = 64
 // Options.Algorithm naming the winner — and the A/B p50 ratio is the
 // routing overhead, which must stay within 10% (benchjson -gate enforces
 // it on the committed file). A warm call takes tens of microseconds, so
-// each rep times a batch of portBatch calls per variant and the p50s are
-// taken over every timed call: a few preempted calls then move neither
-// side. The two variants alternate call by call, so host noise lasting
-// longer than one call lands on both sides of the ratio.
+// each p50 is taken over many single calls: a few preempted calls then move
+// neither side. The two variants alternate call by call, so host noise
+// lasting longer than one call lands on both sides of the ratio. Every
+// routed call must hit the winner cache.
 func portfolioCase(cfg config) (Result, error) {
 	reqs, err := stream(1, cfg.hitTasks, cfg.hitProcs, 15000)
 	if err != nil {
@@ -534,7 +532,7 @@ func portfolioCase(cfg config) (Result, error) {
 		return time.Since(t0), err
 	}
 	var routed, direct []time.Duration
-	for i := 0; i < reps*portBatch; i++ {
+	for i := 0; i < reps; i++ {
 		r, err := call(raceReq)
 		if err != nil {
 			return Result{}, err

@@ -186,19 +186,24 @@ var streamRequired = map[string]struct {
 	"StreamChurnFailures": {"audit_clean", func(r StreamResult) bool { return r.AuditClean }},
 }
 
-// streamAbsolute checks one streaming case against the absolute bounds. A
-// figure the case does not record reads zero and is not checked.
+// streamSpeedupCase is the case that records speedup_x; in it the figure is
+// required, so an absent or zero speedup fails the floor.
+const streamSpeedupCase = "StreamSteadyPoisson"
+
+// streamAbsolute checks one streaming case against the absolute bounds.
+// Another case's speedup_x is checked only when it records one, and a
+// recorded p50 needs a p99 at least as large.
 func streamAbsolute(path, name string, r StreamResult) []string {
 	var fails []string
 	if req, ok := streamRequired[name]; ok && !req.get(r) {
 		fails = append(fails, fmt.Sprintf("%s: %s %s is not true — invariant broken or file edited",
 			path, name, req.field))
 	}
-	if r.SpeedupX != 0 && r.SpeedupX < StreamSpeedupMin {
+	if (name == streamSpeedupCase || r.SpeedupX != 0) && r.SpeedupX < StreamSpeedupMin {
 		fails = append(fails, fmt.Sprintf("%s: %s speedup_x %.2f below the absolute floor %.1fx",
 			path, name, r.SpeedupX, StreamSpeedupMin))
 	}
-	if r.ReschedP99Ns != 0 && r.ReschedP50Ns > r.ReschedP99Ns {
+	if r.ReschedP50Ns > r.ReschedP99Ns {
 		fails = append(fails, fmt.Sprintf("%s: %s resched_p50_ns %.4g exceeds resched_p99_ns %.4g",
 			path, name, r.ReschedP50Ns, r.ReschedP99Ns))
 	}

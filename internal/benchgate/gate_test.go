@@ -147,8 +147,8 @@ func TestAuditStream(t *testing.T) {
 	}
 	rows := []auditRow[StreamResult]{
 		{name: "steady case as committed", caseName: "StreamSteadyPoisson", base: steady, cur: steady},
-		{name: "p50 doubled", caseName: "X", base: StreamResult{ReschedP50Ns: 30e6}, cur: StreamResult{ReschedP50Ns: 60e6}, want: "resched_p50_ns"},
-		{name: "p50 doubled under the floor", caseName: "X", base: StreamResult{ReschedP50Ns: 3e5}, cur: StreamResult{ReschedP50Ns: 6e5}},
+		{name: "p50 doubled", caseName: "X", base: StreamResult{ReschedP50Ns: 30e6, ReschedP99Ns: 90e6}, cur: StreamResult{ReschedP50Ns: 60e6, ReschedP99Ns: 90e6}, want: "resched_p50_ns"},
+		{name: "p50 doubled under the floor", caseName: "X", base: StreamResult{ReschedP50Ns: 3e5, ReschedP99Ns: 9e5}, cur: StreamResult{ReschedP50Ns: 6e5, ReschedP99Ns: 9e5}},
 		{name: "p99 doubled", caseName: "X", base: StreamResult{ReschedP99Ns: 190e6}, cur: StreamResult{ReschedP99Ns: 380e6}, want: "resched_p99_ns"},
 		{name: "incremental search doubled", caseName: "X", base: StreamResult{IncrementalSearchNs: 7e5}, cur: StreamResult{IncrementalSearchNs: 14e5}, want: "incremental_search_ns"},
 		{name: "incremental search faster", caseName: "X", base: StreamResult{IncrementalSearchNs: 7e5}, cur: StreamResult{IncrementalSearchNs: 5e5}},
@@ -160,6 +160,10 @@ func TestAuditStream(t *testing.T) {
 		{name: "audit clean held", caseName: "StreamChurnFailures", noBase: true, cur: StreamResult{AuditClean: true}},
 		{name: "audit clean lost, no baseline", caseName: "StreamChurnFailures", noBase: true, cur: StreamResult{}, want: "audit_clean"},
 		{name: "speedup under the floor", caseName: "StreamSteadyPoisson", base: steady, cur: with(func(r *StreamResult) { r.SpeedupX = 1.5 }), want: "speedup_x 1.50 below"},
+		{name: "speedup zeroed", caseName: "StreamSteadyPoisson", base: steady, cur: with(func(r *StreamResult) { r.SpeedupX = 0 }), want: "speedup_x 0.00 below"},
+		{name: "speedup absent in another case", caseName: "StreamT0Batch", base: StreamResult{T0Match: true}, cur: StreamResult{T0Match: true}},
+		{name: "speedup under the floor in another case", caseName: "X", base: StreamResult{}, cur: StreamResult{SpeedupX: 1.5}, want: "speedup_x 1.50 below"},
+		{name: "p99 zeroed", caseName: "StreamSteadyPoisson", base: steady, cur: with(func(r *StreamResult) { r.ReschedP99Ns = 0 }), want: "exceeds resched_p99_ns 0"},
 		{name: "p50 above p99", caseName: "StreamSteadyPoisson", base: steady, cur: with(func(r *StreamResult) { r.ReschedP50Ns = 200e6 }), want: "exceeds resched_p99_ns"},
 		{name: "p50 equals p99", caseName: "X", base: StreamResult{}, cur: StreamResult{ReschedP50Ns: 5e6, ReschedP99Ns: 5e6}},
 	}
