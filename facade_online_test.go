@@ -1,6 +1,6 @@
 package locmps_test
 
-// Regression tests for the root facades over internal/online and
+// Regression tests for the root facades over internal/sim (on-line) and
 // internal/jobsched: a small golden workload pins their output, so facade
 // wiring (type aliases, option plumbing) cannot silently drift from the
 // internal packages.

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"locmps/internal/graph"
@@ -421,7 +422,7 @@ func checkPorts(tg *model.TaskGraph, s *schedule.Schedule, rm redist.Model, opt 
 			continue
 		}
 		pu, pv := s.Placements[e.From], s.Placements[e.To]
-		if sameProcs(pu.Procs, pv.Procs) {
+		if slices.Equal(pu.Procs, pv.Procs) {
 			continue // same layout: no network traffic by construction
 		}
 		mat, err := rm.TransferMatrix(e.Volume, pu.Procs, pv.Procs)
@@ -518,16 +519,4 @@ func hallViolation(jobs []portJob, tol float64) (lo, hi, demand float64, found b
 		}
 	}
 	return 0, 0, 0, false
-}
-
-func sameProcs(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

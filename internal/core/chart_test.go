@@ -348,7 +348,7 @@ func TestTryAtMatchesReferenceProperty(t *testing.T) {
 					var got attempt
 					gotOK := e.tryAt(&got, tau, k, n, et, parents, est)
 					want, wantOK := refTryAt(e, ref, tau, n, et, parents, est)
-					if gotOK != wantOK || gotOK && (got.finish != want.finish || !intsEqual(got.procs, want.procs)) {
+					if gotOK != wantOK || gotOK && (got.finish != want.finish || !slices.Equal(got.procs, want.procs)) {
 						t.Fatalf("P=%d backfill=%v tau=%v n=%d et=%v: profile (%v, %v, %v), reference (%v, %v, %v)",
 							p, backfill, tau, n, et, gotOK, got.finish, got.procs, wantOK, want.finish, want.procs)
 					}

@@ -212,18 +212,6 @@ type placer struct {
 	resume, record bool
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // attempt is one candidate placement under evaluation.
 type attempt struct {
 	procs     []int // ascending physical ids
@@ -748,7 +736,7 @@ func (e *placer) edgeCost(par int, vol float64, procs []int, procsHash uint64) f
 		return 0
 	}
 	src := e.sched.Placements[par].Procs
-	if len(src) == len(procs) && intsEqual(src, procs) {
+	if slices.Equal(src, procs) {
 		return 0 // same layout, nothing moves
 	}
 	sc := e.sc

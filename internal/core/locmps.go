@@ -198,7 +198,7 @@ func (s *LoCMPS) Schedule(tg *model.TaskGraph, cluster model.Cluster) (*schedule
 // around mid-execution state: preset tasks keep their placements and
 // widths, remaining tasks are (re-)allocated and (re-)placed from scratch
 // on the partially busy, possibly heterogeneous-speed machine. This is the
-// re-planning entry point of the on-line runtime (internal/online).
+// re-planning entry point of the simulator's on-line runtime (sim.Run).
 func (s *LoCMPS) ScheduleWithPreset(tg *model.TaskGraph, cluster model.Cluster, preset Preset) (*schedule.Schedule, error) {
 	sched, stats, _, err := s.runSearch(context.Background(), tg, cluster, preset, nil, Budget{})
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"locmps/internal/schedule"
@@ -74,7 +75,7 @@ func newAllocMemo() *allocMemo {
 // find returns the entry for np, or nil. Caller must hold m.mu.
 func (m *allocMemo) find(np []int) *memoEntry {
 	for _, e := range m.buckets[m.hash(np)] {
-		if intsEqual(e.np, np) {
+		if slices.Equal(e.np, np) {
 			return e
 		}
 	}

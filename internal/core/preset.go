@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"locmps/internal/model"
 	"locmps/internal/schedule"
@@ -35,8 +36,8 @@ func (p *Preset) validate(tg *model.TaskGraph, c model.Cluster) error {
 			return fmt.Errorf("core: NodeFactor has %d entries for P=%d", len(p.NodeFactor), c.P)
 		}
 		for i, f := range p.NodeFactor {
-			if f <= 0 {
-				return fmt.Errorf("core: NodeFactor[%d] = %v must be positive", i, f)
+			if !(f > 0) || math.IsInf(f, 1) {
+				return fmt.Errorf("core: NodeFactor[%d] = %v must be finite and positive", i, f)
 			}
 		}
 	}

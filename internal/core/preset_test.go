@@ -29,6 +29,8 @@ func TestLoCBSWithPresetValidation(t *testing.T) {
 		{BusyUntil: []float64{1, 2}},                                         // wrong length
 		{NodeFactor: []float64{1, 1, 1}},                                     // wrong length
 		{NodeFactor: []float64{1, 0, 1, 1}},                                  // non-positive factor
+		{NodeFactor: []float64{math.NaN(), 1, 1, 1}},                         // NaN factor
+		{NodeFactor: []float64{math.Inf(1), 1, 1, 1}},                        // infinite factor
 		{Fixed: map[int]schedule.Placement{7: {Procs: []int{0}}}},            // task out of range
 		{Fixed: map[int]schedule.Placement{0: {}}},                           // no processors
 		{Fixed: map[int]schedule.Placement{0: {Procs: []int{9}, Finish: 1}}}, // proc out of range

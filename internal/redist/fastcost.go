@@ -1,6 +1,9 @@
 package redist
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // FastCost computes the same locality-aware single-port redistribution time
 // as Cost, without materializing the p x q transfer matrix. It exploits the
@@ -20,7 +23,7 @@ import "fmt"
 // its inputs and then runs the FastCostBuf kernel; processor ids must be
 // non-negative.
 func (m Model) FastCost(volume float64, src, dst []int) (float64, error) {
-	if volume == 0 || sameLayout(src, dst) {
+	if volume == 0 || slices.Equal(src, dst) {
 		return 0, nil
 	}
 	if err := m.Validate(); err != nil {
@@ -82,7 +85,7 @@ func NewCostBuffer(maxProc int) *CostBuffer {
 // their shared nodes by a two-pointer merge; any other order goes through
 // buf's rank tables, so buf may be nil only for sorted groups.
 func (m Model) FastCostBuf(volume float64, src, dst []int, buf *CostBuffer) float64 {
-	if volume == 0 || sameLayout(src, dst) {
+	if volume == 0 || slices.Equal(src, dst) {
 		return 0
 	}
 	p, q := int64(len(src)), int64(len(dst))

@@ -20,6 +20,7 @@ package redist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -246,7 +247,7 @@ func (m Model) Cost(volume float64, src, dst []int) (float64, error) {
 	if volume == 0 {
 		return 0, nil
 	}
-	if sameLayout(src, dst) {
+	if slices.Equal(src, dst) {
 		return 0, nil
 	}
 	mat, err := m.TransferMatrix(volume, src, dst)
@@ -254,18 +255,6 @@ func (m Model) Cost(volume float64, src, dst []int) (float64, error) {
 		return 0, err
 	}
 	return m.SinglePortTime(mat), nil
-}
-
-func sameLayout(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ResidentShare returns the fraction of the volume resident on each member

@@ -58,8 +58,8 @@ import (
 // metamorphic x8 test.
 const OfflineHorizon = float64(1 << 40)
 
-// DefaultWindow is the reschedule-latency ring size.
-const DefaultWindow = 512
+// latencyWindow is the reschedule-latency quantile ring size.
+const latencyWindow = 512
 
 // Job is one streaming DAG job: a task graph submitted at Arrival.
 type Job struct {
@@ -105,9 +105,6 @@ type Config struct {
 	// accounting). Leave false everywhere except hot benchmark loops
 	// that measure pure rescheduling cost.
 	SkipAudit bool
-	// Window sizes the reschedule-latency quantile ring (0 selects
-	// DefaultWindow).
-	Window int
 }
 
 // EventRecord describes one processed event instant: everything that
@@ -235,10 +232,6 @@ func New(cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("stream: resize %d at invalid time %v", i, r.Time)
 		}
 	}
-	window := cfg.Window
-	if window <= 0 {
-		window = DefaultWindow
-	}
 	s := &Sim{
 		cfg:     cfg,
 		jobs:    make([]*jobState, len(cfg.Jobs)),
@@ -246,7 +239,7 @@ func New(cfg Config) (*Sim, error) {
 		fails:   append([]Fail(nil), cfg.Failures...),
 		resizes: append([]Resize(nil), cfg.Resizes...),
 		online:  cfg.Cluster.P,
-		ring:    latring.New(window),
+		ring:    latring.New(latencyWindow),
 	}
 	for i := range cfg.Jobs {
 		tg := cfg.Jobs[i].TG

@@ -83,7 +83,8 @@ type (
 
 // Simulator types.
 type (
-	// SimOptions configure the discrete-event execution (noise, seed).
+	// SimOptions configure the discrete-event execution (noise, seed,
+	// block size, node slowdowns, re-planning policy).
 	SimOptions = sim.Options
 	// SimResult reports a simulated execution.
 	SimResult = sim.Result
@@ -237,7 +238,8 @@ func Execute(tg *TaskGraph, s *Schedule, opt SimOptions) (SimResult, error) {
 	return sim.Execute(tg, s, opt)
 }
 
-// Run schedules and immediately simulates, returning both artifacts.
+// Run schedules and immediately simulates, re-planning as opt.Policy asks,
+// and returns the initial plan and the simulated outcome.
 func Run(alg Scheduler, tg *TaskGraph, c Cluster, opt SimOptions) (*Schedule, SimResult, error) {
 	return sim.Run(alg, tg, c, opt)
 }

@@ -3,29 +3,30 @@ package locmps
 import (
 	"locmps/internal/core"
 	"locmps/internal/exp"
-	"locmps/internal/online"
+	"locmps/internal/sim"
 )
 
 // On-line rescheduling (the paper's §VI future-work direction): execute a
 // task graph on the simulated cluster under runtime noise and node
 // slowdowns, re-planning the remaining tasks when execution drifts from the
-// plan.
+// plan. These are the simulator's own types under their on-line names.
 type (
 	// Slowdown is a persistent node-speed change at a point in time.
-	Slowdown = online.Slowdown
+	Slowdown = sim.Slowdown
 	// ReschedulePolicy controls when the runtime re-plans.
-	ReschedulePolicy = online.Policy
-	// OnlineOptions configure an on-line run.
-	OnlineOptions = online.Options
+	ReschedulePolicy = sim.Policy
+	// OnlineOptions configure an on-line run (the same type as SimOptions).
+	OnlineOptions = sim.Options
 	// OnlineTrace reports an on-line run (makespan, reschedules,
-	// migrations, per-task times).
-	OnlineTrace = online.Trace
+	// migrations, per-task times); the same type as SimResult.
+	OnlineTrace = sim.Result
 )
 
 // ExecuteOnline runs the graph under the given initial scheduler, noise,
 // slowdown events and rescheduling policy.
 func ExecuteOnline(alg Scheduler, tg *TaskGraph, c Cluster, opt OnlineOptions) (OnlineTrace, error) {
-	return online.Execute(alg, tg, c, opt)
+	_, r, err := sim.Run(alg, tg, c, opt)
+	return r, err
 }
 
 // ScheduleHeterogeneous runs the full LoC-MPS loop on a cluster whose
