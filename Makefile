@@ -47,8 +47,8 @@ race-core:
 
 # A single iteration of each mid-scale scheduler benchmark: catches gross
 # regressions and asserts the hot path still runs end to end. The cold-mix
-# case runs one LoC-MPS search per stratum of the cold serving workload on
-# a pinned worker; the baseline-engine and service-priming cases time
+# case runs one LoC-MPS search per stratum of the cold serving workload, as
+# a serving worker does; the baseline-engine and service-priming cases time
 # M-HEFT's multi-width scan, CPA's allocation phase and a node priming the
 # zipf key mix.
 bench-smoke:

@@ -41,7 +41,7 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of text tables")
 		out        = flag.String("out", "", "also write each figure as <id>.csv into this directory")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "scheduler cells run concurrently (defaults to GOMAXPROCS, i.e. one per CPU; 1 = serial); must be at least 1, output is identical for any value")
-		useServe   = flag.Bool("serve", true, "route scheduler runs through the scheduling service (result cache + warm workers); figures are identical either way")
+		useServe   = flag.Bool("serve", true, "route scheduler runs through the scheduling service (result cache + worker pool); figures are identical either way")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)

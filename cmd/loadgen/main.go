@@ -6,7 +6,7 @@
 // Three phases per worker count (1, 2, 4):
 //
 //   - cold: a stream of distinct synthetic graphs, every request a cold
-//     scheduler run on a warm worker (schedules/sec, p50/p99);
+//     scheduler run on a service worker (schedules/sec, p50/p99);
 //   - warm: the same stream replayed, every request a content-addressed
 //     cache hit (schedules/sec, p50/p99);
 //   - hit speedup: one 50-task/64-processor instance measured cold, then

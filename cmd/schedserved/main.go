@@ -94,7 +94,7 @@ func run() error {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
 		shards      = flag.Int("shards", 0, "service shards (0 = auto)")
-		workers     = flag.Int("workers-per-shard", 0, "warm workers per shard (0 = default)")
+		workers     = flag.Int("workers-per-shard", 0, "workers per shard (0 = default)")
 		queue       = flag.Int("queue", 0, "per-shard queue depth (0 = default)")
 		cacheEnts   = flag.Int("cache-entries", 0, "L1 result-cache entries (0 = default)")
 		l2dir       = flag.String("l2", "", "disk L2 cache directory (empty = no L2)")

@@ -7,7 +7,7 @@
 // Four cases:
 //
 //   - StreamSteadyPoisson: a steady Poisson arrival stream replayed in
-//     incremental mode (pinned worker, table concatenation, warm memo)
+//     incremental mode (table concatenation, memo and resume per search)
 //     and again in scratch mode (reference configuration on freshly
 //     rebuilt unions). Both must produce bit-identical end-state
 //     schedules; the headline figure is the search-time speedup, gated
@@ -168,7 +168,7 @@ func sameEnd(a, b *stream.Result) bool {
 }
 
 func run(path string, reps int) error {
-	out := benchgate.StreamFile{File: benchgate.New[Result]("Open-loop streaming scheduler benchmarks (Poisson arrivals, synthetic DAG jobs, seed 7/11). Baseline is preserved across runs; delete this file to re-baseline. speedup_x is incremental (pinned worker, concatenated tables) vs scratch (reference configuration, rebuilt unions) at bit-identical end states; timed replays keep the best of -reps repetitions.")}
+	out := benchgate.StreamFile{File: benchgate.New[Result]("Open-loop streaming scheduler benchmarks (Poisson arrivals, synthetic DAG jobs, seed 7/11). Baseline is preserved across runs; delete this file to re-baseline. speedup_x is incremental (memo and resume, concatenated tables) vs scratch (reference configuration, rebuilt unions) at bit-identical end states; timed replays keep the best of -reps repetitions.")}
 	prev, _, err := benchgate.Read[benchgate.StreamFile](path)
 	if err != nil {
 		return err

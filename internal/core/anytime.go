@@ -130,22 +130,6 @@ func LowerBound(tg *model.TaskGraph, cluster model.Cluster) (float64, error) {
 	return cpInf, nil
 }
 
-// ScheduleContext is Schedule with cooperative cancellation: the search
-// checks ctx at every outer round and look-ahead step and aborts with
-// ctx.Err() as soon as it is cancelled or past its context deadline,
-// instead of running to completion. With a background context it is
-// exactly Schedule.
-func (s *LoCMPS) ScheduleContext(ctx context.Context, tg *model.TaskGraph, cluster model.Cluster) (*schedule.Schedule, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	sched, stats, _, err := s.runSearchOn(ctx, sc, tg, cluster, Preset{}, nil, Budget{})
-	if err != nil {
-		return nil, err
-	}
-	s.setStats(stats)
-	return sched, nil
-}
-
 // ScheduleBudget runs the anytime LoC-MPS search: Algorithm 1 truncated by
 // the budget, returning the best-so-far schedule together with a reported
 // quality bound. Budget exhaustion is not an error — the result says
@@ -159,15 +143,7 @@ func (s *LoCMPS) ScheduleContext(ctx context.Context, tg *model.TaskGraph, clust
 // of the deterministic search's commit sequence — every such prefix is a
 // complete, audit-clean schedule.
 func (s *LoCMPS) ScheduleBudget(ctx context.Context, tg *model.TaskGraph, cluster model.Cluster, b Budget) (*AnytimeResult, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	return s.scheduleBudgetOn(ctx, sc, tg, cluster, b)
-}
-
-// scheduleBudgetOn is ScheduleBudget against caller-owned scratch (the
-// serving layer's warm workers pin theirs).
-func (s *LoCMPS) scheduleBudgetOn(ctx context.Context, sc *placerScratch, tg *model.TaskGraph, cluster model.Cluster, b Budget) (*AnytimeResult, error) {
-	sched, stats, truncated, err := s.runSearchOn(ctx, sc, tg, cluster, Preset{}, nil, b)
+	sched, stats, truncated, err := s.runSearch(ctx, tg, cluster, Preset{}, nil, b)
 	if err != nil {
 		return nil, err
 	}

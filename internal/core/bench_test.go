@@ -41,20 +41,17 @@ func coldMixGraphs(b *testing.B) ([]*model.TaskGraph, []model.Cluster) {
 	return graphs, clusters
 }
 
-// BenchmarkColdMix times one full LoC-MPS search per cold stratum on one
-// pinned Worker, as a serving worker runs them: every search misses every
-// cache keyed by its graph, so the time is the search and its LoCBS
-// placement scans.
+// BenchmarkColdMix times one full LoC-MPS search per cold stratum, as a
+// serving worker runs them: every search misses every cache keyed by its
+// graph, so the time is the search and its LoCBS placement scans.
 func BenchmarkColdMix(b *testing.B) {
 	graphs, clusters := coldMixGraphs(b)
-	w := NewWorker()
-	defer w.Close()
 	alg := New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k, tg := range graphs {
-			if _, err := w.Schedule(alg, tg, clusters[k]); err != nil {
+			if _, err := alg.Schedule(tg, clusters[k]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -189,18 +189,35 @@ func (s *LoCMPS) topFraction() float64 {
 	return DefaultTopFraction
 }
 
+var _ schedule.Engine = (*LoCMPS)(nil)
+
 // Schedule implements schedule.Scheduler (Algorithm 1).
 func (s *LoCMPS) Schedule(tg *model.TaskGraph, cluster model.Cluster) (*schedule.Schedule, error) {
-	return s.ScheduleWithPreset(tg, cluster, Preset{})
+	return s.schedule(context.Background(), tg, cluster, Preset{})
+}
+
+// ScheduleContext is Schedule with cooperative cancellation: the search
+// checks ctx at every outer round and look-ahead step and aborts with
+// ctx.Err() as soon as it is cancelled or past its context deadline,
+// instead of running to completion. With a background context it is
+// exactly Schedule.
+func (s *LoCMPS) ScheduleContext(ctx context.Context, tg *model.TaskGraph, cluster model.Cluster) (*schedule.Schedule, error) {
+	return s.schedule(ctx, tg, cluster, Preset{})
 }
 
 // ScheduleWithPreset runs the full LoC-MPS allocation-and-scheduling loop
 // around mid-execution state: preset tasks keep their placements and
 // widths, remaining tasks are (re-)allocated and (re-)placed from scratch
 // on the partially busy, possibly heterogeneous-speed machine. This is the
-// re-planning entry point of the simulator's on-line runtime (sim.Run).
+// re-planning entry point of the simulator's on-line runtime (sim.Run)
+// and of the streaming rescheduler.
 func (s *LoCMPS) ScheduleWithPreset(tg *model.TaskGraph, cluster model.Cluster, preset Preset) (*schedule.Schedule, error) {
-	sched, stats, _, err := s.runSearch(context.Background(), tg, cluster, preset, nil, Budget{})
+	return s.schedule(context.Background(), tg, cluster, preset)
+}
+
+// schedule runs one unbudgeted search and records its statistics.
+func (s *LoCMPS) schedule(ctx context.Context, tg *model.TaskGraph, cluster model.Cluster, preset Preset) (*schedule.Schedule, error) {
+	sched, stats, _, err := s.runSearch(ctx, tg, cluster, preset, nil, Budget{})
 	if err != nil {
 		return nil, err
 	}
@@ -237,18 +254,17 @@ type search struct {
 
 // runSearch executes Algorithm 1, optionally from a non-default starting
 // allocation (ScheduleDual's saturated start), against a scratch drawn from
-// the shared pool for the duration of the run.
+// the shared pool for the duration of the run. It is the one way every
+// LoC-MPS entry point runs a search.
 func (s *LoCMPS) runSearch(ctx context.Context, tg *model.TaskGraph, cluster model.Cluster, preset Preset, initAlloc []int, budget Budget) (*schedule.Schedule, SearchStats, bool, error) {
 	sc := getScratch()
 	defer putScratch(sc)
 	return s.runSearchOn(ctx, sc, tg, cluster, preset, initAlloc, budget)
 }
 
-// runSearchOn is runSearch against caller-owned scratch. Warm workers
-// (Worker, used by internal/serve) pin one scratch across many runs so its
-// content-keyed cost cache and sized buffers survive between requests
-// instead of being surrendered to the pool after every schedule. The third
-// result reports whether the budget truncated the search before natural
+// runSearchOn is runSearch against the given scratch; the scratch is
+// reused across the LoCBS runs of this search only. The third result
+// reports whether the budget truncated the search before natural
 // termination.
 func (s *LoCMPS) runSearchOn(ctx context.Context, sc *placerScratch, tg *model.TaskGraph, cluster model.Cluster, preset Preset, initAlloc []int, budget Budget) (*schedule.Schedule, SearchStats, bool, error) {
 	started := time.Now()

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"locmps/internal/model"
 	"locmps/internal/schedule"
 	"locmps/internal/speedup"
+	"locmps/internal/synth"
 )
 
 func presetFixture(t *testing.T) *model.TaskGraph {
@@ -198,5 +200,96 @@ func TestPresetFinishedFixedTaskKeepsBusyFrontier(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("LoC-MPS", s)
+	}
+}
+
+// TestScratchReusePresetBitIdentical pins the one reuse path a scratch
+// has: the shared pool hands a scratch that ran another instance's search
+// to the next search. A preset-constrained search on such a scratch, and
+// again on the same scratch right after it, must reproduce a fresh
+// scratch's schedule and search statistics bit for bit, with the fixed
+// tasks unmoved. This is the contract the rolling-horizon streaming
+// rescheduler and sim.Run's re-planning rest on.
+func TestScratchReusePresetBitIdentical(t *testing.T) {
+	gen := func(tasks int, seed int64) *model.TaskGraph {
+		p := synth.DefaultParams()
+		p.Tasks, p.Seed, p.CCR = tasks, seed, 0.5
+		tg, err := synth.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tg
+	}
+	tg := gen(12, 99)
+	cluster := presetCluster
+	base, err := New().Schedule(tg, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Freeze the two earliest-starting tasks as already running and block
+	// the near past, like a mid-stream reschedule does.
+	fixed := map[int]schedule.Placement{}
+	horizon := 0.0
+	for id, pl := range base.Placements {
+		if len(fixed) == 2 {
+			break
+		}
+		if pl.Start == 0 {
+			fixed[id] = schedule.Placement{
+				Procs: append([]int(nil), pl.Procs...), Start: pl.Start,
+				Finish: pl.Finish, DataReady: pl.DataReady, CommTime: pl.CommTime,
+			}
+			horizon = max(horizon, pl.Finish)
+		}
+	}
+	if len(fixed) == 0 {
+		t.Fatal("fixture has no entry tasks at t=0")
+	}
+	busy := make([]float64, cluster.P)
+	for i := range busy {
+		busy[i] = horizon / 2
+	}
+	preset := Preset{Fixed: fixed, BusyUntil: busy}
+
+	ctx := context.Background()
+	fresh := scratchPool.New().(*placerScratch)
+	want, wantStats, _, err := New().runSearchOn(ctx, fresh, tg, cluster, preset, nil, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantStats.LoCBSRuns == 0 {
+		t.Fatal("fresh search ran no LoCBS")
+	}
+	// The public entry point reports the same statistics through LastStats.
+	pub := New()
+	got, err := pub.ScheduleWithPreset(tg, cluster, preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSchedule(t, want, got, "ScheduleWithPreset")
+	if st := pub.LastStats(); st != wantStats {
+		t.Errorf("LastStats %+v, want %+v", st, wantStats)
+	}
+
+	sc := getScratch()
+	defer putScratch(sc)
+	if _, _, _, err := New().runSearchOn(ctx, sc, gen(20, 7), model.Cluster{P: 8, Bandwidth: 12.5e6, Overlap: true}, Preset{}, nil, Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		got, stats, _, err := New().runSearchOn(ctx, sc, tg, cluster, preset, nil, Budget{})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		assertSameSchedule(t, want, got, "reused scratch")
+		if stats != wantStats {
+			t.Errorf("round %d: stats %+v, want %+v", round, stats, wantStats)
+		}
+		for id, pl := range fixed {
+			g := got.Placements[id]
+			if g.Start != pl.Start || g.Finish != pl.Finish {
+				t.Errorf("round %d: fixed task %d moved: (%v,%v) vs (%v,%v)", round, id, g.Start, g.Finish, pl.Start, pl.Finish)
+			}
+		}
 	}
 }

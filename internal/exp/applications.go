@@ -30,7 +30,7 @@ type AppOptions struct {
 	// identical for any value — only wall-clock time changes.
 	Workers int
 	// Service, when non-nil, routes every scheduler run through the
-	// scheduling service (result cache, coalescing, warm workers). Figures
+	// scheduling service (result cache, coalescing, worker pool). Figures
 	// are unchanged: the service is bit-identical to direct runs.
 	Service *serve.Service
 }

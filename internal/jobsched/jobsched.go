@@ -90,6 +90,21 @@ func Simulate(jobs []Job, p int, strat Strategy) (Result, error) {
 	return s.run()
 }
 
+// validateJob applies Simulate's per-job admission checks.
+func validateJob(i int, j Job, p int) error {
+	switch {
+	case j.Procs < 1 || j.Procs > p:
+		return fmt.Errorf("jobsched: job %d needs %d of %d processors", i, j.Procs, p)
+	case j.Runtime <= 0 || math.IsNaN(j.Runtime) || math.IsInf(j.Runtime, 0):
+		return fmt.Errorf("jobsched: job %d has invalid runtime %v", i, j.Runtime)
+	case j.Estimate < j.Runtime:
+		return fmt.Errorf("jobsched: job %d runtime %v exceeds estimate %v", i, j.Runtime, j.Estimate)
+	case j.Arrival < 0:
+		return fmt.Errorf("jobsched: job %d has negative arrival %v", i, j.Arrival)
+	}
+	return nil
+}
+
 type running struct {
 	job       int
 	finish    float64 // actual completion
@@ -113,8 +128,9 @@ type simulator struct {
 	res     Result
 }
 
-// prepare initializes the event loop's state for the submitted job set.
-func (s *simulator) prepare() {
+// run replays the jobs: at each event instant it processes the arrivals,
+// then the completions, then one dispatch round.
+func (s *simulator) run() (Result, error) {
 	n := len(s.jobs)
 	s.res.Start = make([]float64, n)
 	s.res.Finish = make([]float64, n)
@@ -127,65 +143,36 @@ func (s *simulator) prepare() {
 	sort.SliceStable(s.order, func(a, b int) bool {
 		return s.jobs[s.order[a]].Arrival < s.jobs[s.order[b]].Arrival
 	})
-}
-
-// nextEvent finds the next arrival or completion time; ok is false when
-// neither is pending.
-func (s *simulator) nextEvent() (float64, bool) {
-	t := math.Inf(1)
-	if s.next < len(s.jobs) {
-		t = s.jobs[s.order[s.next]].Arrival
-	}
-	for _, r := range s.active {
-		if r.finish < t {
-			t = r.finish
+	for s.done < n {
+		// The next event is the earliest pending arrival or completion.
+		t := math.Inf(1)
+		if s.next < n {
+			t = s.jobs[s.order[s.next]].Arrival
 		}
-	}
-	return t, !math.IsInf(t, 1)
-}
-
-// step processes one event instant: arrivals at t, completions at t, then
-// a dispatch round. It reports false once every job has completed.
-func (s *simulator) step() (bool, error) {
-	n := len(s.jobs)
-	if s.done >= n {
-		return false, nil
-	}
-	t, ok := s.nextEvent()
-	if !ok {
-		return false, fmt.Errorf("jobsched: stalled with %d of %d jobs done", s.done, n)
-	}
-	s.now = t
-	// Process arrivals at t.
-	for s.next < n && s.jobs[s.order[s.next]].Arrival <= s.now {
-		s.queue = append(s.queue, s.order[s.next])
-		s.next++
-	}
-	// Process completions at t.
-	kept := s.active[:0]
-	for _, r := range s.active {
-		if r.finish <= s.now {
-			s.free += r.procs
-			s.done++
-		} else {
-			kept = append(kept, r)
+		for _, r := range s.active {
+			if r.finish < t {
+				t = r.finish
+			}
 		}
-	}
-	s.active = kept
-	s.dispatch()
-	return true, nil
-}
-
-func (s *simulator) run() (Result, error) {
-	s.prepare()
-	for {
-		ok, err := s.step()
-		if err != nil {
-			return Result{}, err
+		if math.IsInf(t, 1) {
+			return Result{}, fmt.Errorf("jobsched: stalled with %d of %d jobs done", s.done, n)
 		}
-		if !ok {
-			break
+		s.now = t
+		for s.next < n && s.jobs[s.order[s.next]].Arrival <= s.now {
+			s.queue = append(s.queue, s.order[s.next])
+			s.next++
 		}
+		kept := s.active[:0]
+		for _, r := range s.active {
+			if r.finish <= s.now {
+				s.free += r.procs
+				s.done++
+			} else {
+				kept = append(kept, r)
+			}
+		}
+		s.active = kept
+		s.dispatch()
 	}
 	return s.finalize(), nil
 }

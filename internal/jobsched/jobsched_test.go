@@ -244,3 +244,26 @@ func TestStrategyString(t *testing.T) {
 		t.Error("unknown strategy has empty name")
 	}
 }
+
+// goldenEASYMakespan pins the EASY replay of the fixed 60-job trace in
+// TestSimulateGoldenEASY; the event loop must not move it.
+const goldenEASYMakespan = 736.9230829130137
+
+func TestSimulateGoldenEASY(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	const p = 16
+	jobs := make([]Job, 60)
+	arr := 0.0
+	for i := range jobs {
+		arr += r.Float64() * 5
+		run := 1 + r.Float64()*30
+		jobs[i] = Job{Arrival: arr, Procs: 1 + r.Intn(p), Runtime: run, Estimate: run * (1 + r.Float64())}
+	}
+	res, err := Simulate(jobs, p, EASY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Makespan != goldenEASYMakespan {
+		t.Errorf("golden EASY makespan drifted: got %v, want %v", res.Makespan, goldenEASYMakespan)
+	}
+}

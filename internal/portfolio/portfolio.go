@@ -92,7 +92,7 @@ func Default() []string {
 }
 
 // anytimeEngine is the budget-bounded search entry point the LoC-MPS family
-// exposes; engines advertising Capabilities().Anytime must implement it.
+// exposes; a deadline race runs every engine that implements it budgeted.
 type anytimeEngine interface {
 	ScheduleBudget(ctx context.Context, tg *model.TaskGraph, c model.Cluster, b core.Budget) (*core.AnytimeResult, error)
 }
@@ -238,20 +238,14 @@ func runCandidate(ctx context.Context, eng schedule.Engine, name string, tg *mod
 		}
 	}()
 
-	if !deadline.IsZero() && eng.Capabilities().Anytime {
-		if ae, ok := eng.(anytimeEngine); ok {
-			res, err := ae.ScheduleBudget(ctx, tg, c, core.Budget{Deadline: deadline})
-			if err != nil {
-				cand.Err = err
-				return cand
-			}
-			cand.Schedule, cand.Truncated = res.Schedule, res.Truncated
+	if ae, ok := eng.(anytimeEngine); ok && !deadline.IsZero() {
+		res, err := ae.ScheduleBudget(ctx, tg, c, core.Budget{Deadline: deadline})
+		if err != nil {
+			cand.Err = err
+			return cand
 		}
-	}
-	if cand.Schedule == nil && cand.Err == nil {
-		cand.Schedule, cand.Err = eng.ScheduleContext(ctx, tg, c)
-	}
-	if cand.Err != nil {
+		cand.Schedule, cand.Truncated = res.Schedule, res.Truncated
+	} else if cand.Schedule, cand.Err = eng.ScheduleContext(ctx, tg, c); cand.Err != nil {
 		return cand
 	}
 

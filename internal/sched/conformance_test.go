@@ -15,9 +15,10 @@ import (
 // This file is the engine-conformance suite: every engine handed out by the
 // registry must satisfy the schedule.Engine contract — name round-trip,
 // audit-clean schedules, ScheduleContext bit-identical to Schedule under a
-// background context, prompt cancellation, and capability flags that match
-// the implementation. It lives in an external test package so it can use
-// internal/audit (which itself imports sched for its harness).
+// background context and prompt cancellation — and exactly the pinned
+// LoC-MPS engines implement the budgeted entry point. It lives in an
+// external test package so it can use internal/audit (which itself imports
+// sched for its harness).
 
 func conformanceGraph(t *testing.T, tasks int, seed int64) *model.TaskGraph {
 	t.Helper()
@@ -32,7 +33,7 @@ func conformanceGraph(t *testing.T, tasks int, seed int64) *model.TaskGraph {
 	return tg
 }
 
-// anytimeEngine is the budget entry point Capabilities().Anytime promises.
+// anytimeEngine is the budget entry point of the LoC-MPS family.
 type anytimeEngine interface {
 	ScheduleBudget(ctx context.Context, tg *model.TaskGraph, c model.Cluster, b core.Budget) (*core.AnytimeResult, error)
 }
@@ -47,6 +48,13 @@ func TestEngineConformance(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("registry is empty")
 	}
+	// The engines with a budgeted search; no baseline has one.
+	anytime := map[string]bool{"LoC-MPS": true, "LoC-MPS-NoBF": true, "iCASLB": true}
+	for name := range anytime {
+		if !sched.Known(name) {
+			t.Errorf("budgeted engine %q is not registered", name)
+		}
+	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			eng, err := sched.ByName(name)
@@ -57,9 +65,8 @@ func TestEngineConformance(t *testing.T) {
 				t.Fatalf("registered as %q but Name() = %q", name, got)
 			}
 
-			caps := eng.Capabilities()
-			if _, ok := eng.(anytimeEngine); ok != caps.Anytime {
-				t.Fatalf("Capabilities().Anytime = %v but ScheduleBudget implemented = %v", caps.Anytime, ok)
+			if _, ok := eng.(anytimeEngine); ok != anytime[name] {
+				t.Fatalf("ScheduleBudget implemented = %v, want %v", ok, anytime[name])
 			}
 
 			s, err := eng.Schedule(tg, c)

@@ -8,14 +8,9 @@ import (
 )
 
 // The baseline algorithms are one-shot: they run a single construction pass
-// with no budgeted search to truncate and no warm state to reuse, so their
-// ScheduleContext checks the context on entry and then delegates to
-// Schedule, and their capability flags advertise only concurrency safety
-// (all of them are stateless value types). LoC-MPS and its variants get
-// richer capabilities from internal/core.
-
-// oneShot are the capabilities shared by every baseline in this package.
-var oneShot = schedule.Capabilities{ConcurrentSafe: true}
+// with no budgeted search to truncate, so their ScheduleContext checks the
+// context on entry and then delegates to Schedule. Only the LoC-MPS family
+// (internal/core) adds a budgeted entry point, ScheduleBudget.
 
 // ScheduleContext implements schedule.Engine.
 func (a CPR) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.Cluster) (*schedule.Schedule, error) {
@@ -25,9 +20,6 @@ func (a CPR) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.C
 	return a.Schedule(tg, c)
 }
 
-// Capabilities implements schedule.Engine.
-func (CPR) Capabilities() schedule.Capabilities { return oneShot }
-
 // ScheduleContext implements schedule.Engine.
 func (a CPA) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.Cluster) (*schedule.Schedule, error) {
 	if err := ctx.Err(); err != nil {
@@ -35,9 +27,6 @@ func (a CPA) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.C
 	}
 	return a.Schedule(tg, c)
 }
-
-// Capabilities implements schedule.Engine.
-func (CPA) Capabilities() schedule.Capabilities { return oneShot }
 
 // ScheduleContext implements schedule.Engine.
 func (a Task) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.Cluster) (*schedule.Schedule, error) {
@@ -47,9 +36,6 @@ func (a Task) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.
 	return a.Schedule(tg, c)
 }
 
-// Capabilities implements schedule.Engine.
-func (Task) Capabilities() schedule.Capabilities { return oneShot }
-
 // ScheduleContext implements schedule.Engine.
 func (a Data) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.Cluster) (*schedule.Schedule, error) {
 	if err := ctx.Err(); err != nil {
@@ -57,9 +43,6 @@ func (a Data) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.
 	}
 	return a.Schedule(tg, c)
 }
-
-// Capabilities implements schedule.Engine.
-func (Data) Capabilities() schedule.Capabilities { return oneShot }
 
 // ScheduleContext implements schedule.Engine.
 func (a MHEFT) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.Cluster) (*schedule.Schedule, error) {
@@ -69,9 +52,6 @@ func (a MHEFT) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model
 	return a.Schedule(tg, c)
 }
 
-// Capabilities implements schedule.Engine.
-func (MHEFT) Capabilities() schedule.Capabilities { return oneShot }
-
 // ScheduleContext implements schedule.Engine.
 func (o Optimal) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.Cluster) (*schedule.Schedule, error) {
 	if err := ctx.Err(); err != nil {
@@ -79,9 +59,6 @@ func (o Optimal) ScheduleContext(ctx context.Context, tg *model.TaskGraph, c mod
 	}
 	return o.Schedule(tg, c)
 }
-
-// Capabilities implements schedule.Engine.
-func (Optimal) Capabilities() schedule.Capabilities { return oneShot }
 
 var (
 	_ schedule.Engine = CPR{}

@@ -6,28 +6,9 @@ import (
 	"locmps/internal/model"
 )
 
-// Capabilities are the static, per-algorithm facts the serving and
-// portfolio layers dispatch on. They describe what an Engine can do, not
-// how well it does it; every flag is a property of the implementation and
-// never changes at runtime.
-type Capabilities struct {
-	// Anytime reports that the engine supports budget-bounded search:
-	// given a deadline it returns its best-so-far complete schedule
-	// instead of failing, monotonically improving as the budget grows.
-	Anytime bool
-	// Incremental reports that the engine reuses warm state across runs
-	// (memo tables, prefix checkpoints), so consecutive runs of similar
-	// instances on one instance are cheaper than cold runs.
-	Incremental bool
-	// ConcurrentSafe reports that one engine value may serve concurrent
-	// Schedule/ScheduleContext calls. Engines without it must be
-	// instantiated per goroutine.
-	ConcurrentSafe bool
-}
-
 // Engine is the uniform scheduling-algorithm interface consumed by the
 // serving layer, the experiment drivers and the audit harness: the basic
-// Schedule entry point plus cooperative cancellation and capability flags.
+// Schedule entry point plus cooperative cancellation.
 // Every algorithm in this module — LoC-MPS and all baselines — implements
 // it; the registry in internal/sched hands out Engines by name.
 //
@@ -38,5 +19,4 @@ type Capabilities struct {
 type Engine interface {
 	Scheduler
 	ScheduleContext(ctx context.Context, tg *model.TaskGraph, c model.Cluster) (*Schedule, error)
-	Capabilities() Capabilities
 }

@@ -1,9 +1,9 @@
 // Package serve turns the optimized LoC-MPS kernel into a concurrent
 // scheduling service: a content-addressed result cache over canonical
 // request fingerprints, singleflight-style coalescing of identical in-flight
-// requests, and per-shard warm workers that keep the core scheduler's
-// scratch state alive across runs. It is the throughput layer the experiment
-// sweeps and the load generator run on.
+// requests, and a pool of worker goroutines that run the cold searches.
+// It is the throughput layer the experiment sweeps and the load generator
+// run on.
 package serve
 
 import (

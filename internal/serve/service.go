@@ -43,11 +43,10 @@ type Config struct {
 	// requests. Shards do not own workers: every cold run goes through one
 	// service-wide job queue. Default: GOMAXPROCS, capped at 8.
 	Shards int
-	// WorkersPerShard sizes the worker pool: Shards × WorkersPerShard warm
+	// WorkersPerShard sizes the worker pool: Shards × WorkersPerShard
 	// worker goroutines drain the shared job queue, so a cold job runs on
-	// whichever worker is free, whatever its shard. Every worker pins core
-	// scheduler scratch (pools, cost caches, sized buffers) for its whole
-	// lifetime, so consecutive runs on one worker start warm. Default 1.
+	// whichever worker is free, whatever its shard. Each search takes its
+	// scratch from the core scheduler's shared pool. Default 1.
 	WorkersPerShard int
 	// QueueDepth sizes the shared job queue: it holds Shards × QueueDepth
 	// pending cold jobs in total, and an admission beyond that fails fast
@@ -101,7 +100,7 @@ func (c Config) withDefaults() Config {
 
 // Service is a concurrent scheduling service over the LoC-MPS kernel and
 // the paper's baselines. Schedule is safe for arbitrary concurrent use; the
-// heavy lifting happens on a pool of warm workers behind one bounded job
+// heavy lifting happens on a pool of workers behind one bounded job
 // queue, identical concurrent requests coalesce into one run, and completed
 // results are served from a sharded content-addressed LRU cache as deep
 // copies bit-identical to a cold run.
@@ -208,7 +207,7 @@ func (s *Service) shardFor(k Key) *shard {
 // Schedule resolves one request, blocking until the schedule is available:
 // served from the result cache (a deep copy, bit-identical to a cold run),
 // by joining an identical in-flight request, or by a cold run on the first
-// free warm worker. It fails fast with ErrOverloaded when the job queue is
+// free worker. It fails fast with ErrOverloaded when the job queue is
 // full and with ErrClosed after Close. Schedule is ScheduleContext
 // with a background context.
 func (s *Service) Schedule(req Request) (*schedule.Schedule, error) {
@@ -368,16 +367,14 @@ func (s *Service) finish(res *schedule.Schedule, started time.Time) (*schedule.S
 	return res.Clone(), nil
 }
 
-// worker drains the job queue on a pinned core scratch until the service
-// closes. Scheduler instances are cached per effective Options so a request
-// mix over few configurations never rebuilds them.
+// worker drains the job queue until the service closes. Scheduler
+// instances are cached per effective Options so a request mix over few
+// configurations never rebuilds them.
 func (s *Service) worker() {
 	defer s.wg.Done()
-	cw := core.NewWorker()
-	defer cw.Close()
 	algs := make(map[Options]schedule.Engine)
 	for jb := range s.queue {
-		res, truncated, err := s.runJob(cw, algs, jb)
+		res, truncated, err := s.runJob(algs, jb)
 		sh := jb.sh
 		sh.mu.Lock()
 		if jb.cacheable {
@@ -407,7 +404,7 @@ func (s *Service) worker() {
 // profile implementation) must not take the whole service down, so panics
 // are converted into errors delivered to the leader and every coalesced
 // follower.
-func (s *Service) runJob(cw *core.Worker, algs map[Options]schedule.Engine, jb *job) (res *schedule.Schedule, truncated bool, err error) {
+func (s *Service) runJob(algs map[Options]schedule.Engine, jb *job) (res *schedule.Schedule, truncated bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, truncated, err = nil, false, fmt.Errorf("serve: scheduler panicked: %v\n%s", v, debug.Stack())
@@ -436,7 +433,7 @@ func (s *Service) runJob(cw *core.Worker, algs map[Options]schedule.Engine, jb *
 		}()
 	}
 	if jb.req.portfolio() {
-		return s.runPortfolio(cw, jb)
+		return s.runPortfolio(jb)
 	}
 	o := jb.req.Options.normalized()
 	// The budget is per-run state, not a scheduler configuration: strip it
@@ -451,33 +448,27 @@ func (s *Service) runJob(cw *core.Worker, algs map[Options]schedule.Engine, jb *
 		}
 		algs[cfg] = alg
 	}
-	lm, isLoCMPS := alg.(*core.LoCMPS)
-	if !isLoCMPS {
-		res, err = alg.ScheduleContext(jb.ctx, jb.req.Graph, jb.req.Cluster)
-		return res, false, err
-	}
-	if o.Dual {
-		// ScheduleDual runs two searches concurrently; they draw from
-		// the shared scratch pool rather than this worker's pin.
-		res, err = lm.ScheduleDual(jb.req.Graph, jb.req.Cluster)
-		return res, false, err
-	}
-	return runOnWorker(cw, jb, lm, core.Budget{MaxIterations: o.MaxIterations, Deadline: jb.deadline})
+	return runEngine(jb, alg, o.Dual, core.Budget{MaxIterations: o.MaxIterations, Deadline: jb.deadline})
 }
 
-// runOnWorker runs lm's search on the worker's pinned scratch, whose
-// content-keyed cost cache stays warm across the worker's requests. A set
-// budget switches to the anytime search, which may return a truncated
-// best-so-far schedule.
-func runOnWorker(cw *core.Worker, jb *job, lm *core.LoCMPS, b core.Budget) (*schedule.Schedule, bool, error) {
-	if b.MaxIterations > 0 || !b.Deadline.IsZero() {
-		ar, err := cw.ScheduleBudget(jb.ctx, lm, jb.req.Graph, jb.req.Cluster, b)
-		if err != nil {
-			return nil, false, err
+// runEngine runs one engine for a job. Only two LoC-MPS cases differ from
+// a plain ScheduleContext: Dual runs ScheduleDual, and a set budget runs
+// the anytime search, which may return a truncated best-so-far schedule.
+func runEngine(jb *job, alg schedule.Engine, dual bool, b core.Budget) (*schedule.Schedule, bool, error) {
+	if lm, ok := alg.(*core.LoCMPS); ok {
+		switch {
+		case dual:
+			res, err := lm.ScheduleDual(jb.req.Graph, jb.req.Cluster)
+			return res, false, err
+		case b.MaxIterations > 0 || !b.Deadline.IsZero():
+			ar, err := lm.ScheduleBudget(jb.ctx, jb.req.Graph, jb.req.Cluster, b)
+			if err != nil {
+				return nil, false, err
+			}
+			return ar.Schedule, ar.Truncated, nil
 		}
-		return ar.Schedule, ar.Truncated, nil
 	}
-	res, err := cw.ScheduleContext(jb.ctx, lm, jb.req.Graph, jb.req.Cluster)
+	res, err := alg.ScheduleContext(jb.ctx, jb.req.Graph, jb.req.Cluster)
 	return res, false, err
 }
 
@@ -486,18 +477,17 @@ func runOnWorker(cw *core.Worker, jb *job, lm *core.LoCMPS, b core.Budget) (*sch
 // engine's name is committed to the winner cache — in memory and, when the
 // L2 implements WinnerStore, on disk, so the routing survives restarts.
 // Repeat traffic for the fingerprint runs ONLY the winning engine: one
-// search instead of N, on the worker's warm scratch when the winner is
-// LoC-MPS-family.
+// search instead of N.
 //
 // Only untruncated races commit a winner. A deadline-shaped race can crown
 // whichever engine happened to finish in time, and replaying that accident
 // to later (cacheable, L2-shared) traffic would make a fingerprint's
 // content depend on one node's history — the winner cache must only ever
 // hold the deterministic winner.
-func (s *Service) runPortfolio(cw *core.Worker, jb *job) (*schedule.Schedule, bool, error) {
+func (s *Service) runPortfolio(jb *job) (*schedule.Schedule, bool, error) {
 	if winner, ok := s.lookupWinner(jb.key); ok {
 		s.winnerHits.Add(1)
-		return s.runWinner(cw, jb, winner)
+		return s.runWinner(jb, winner)
 	}
 	s.winnerMisses.Add(1)
 	s.portfolioRaces.Add(1)
@@ -514,21 +504,15 @@ func (s *Service) runPortfolio(cw *core.Worker, jb *job) (*schedule.Schedule, bo
 	return res.Schedule, res.Truncated, nil
 }
 
-// runWinner runs the recorded winning engine alone for a portfolio job.
-// LoC-MPS-family winners go through the worker's warm scratch exactly like
-// single-engine requests; one-shot engines run fresh. The deadline still
-// truncates an anytime winner.
-func (s *Service) runWinner(cw *core.Worker, jb *job, winner string) (*schedule.Schedule, bool, error) {
+// runWinner runs the recorded winning engine alone for a portfolio job,
+// exactly like a single-engine request. The deadline still truncates an
+// anytime winner.
+func (s *Service) runWinner(jb *job, winner string) (*schedule.Schedule, bool, error) {
 	alg, err := sched.ByName(winner)
 	if err != nil {
 		return nil, false, err // unreachable: lookupWinner validates names
 	}
-	lm, isLoCMPS := alg.(*core.LoCMPS)
-	if !isLoCMPS {
-		res, err := alg.ScheduleContext(jb.ctx, jb.req.Graph, jb.req.Cluster)
-		return res, false, err
-	}
-	return runOnWorker(cw, jb, lm, core.Budget{Deadline: jb.deadline})
+	return runEngine(jb, alg, false, core.Budget{Deadline: jb.deadline})
 }
 
 // WinnerStore is the optional persistence hook for the portfolio winner

@@ -96,10 +96,10 @@ func directRun(t *testing.T, req Request) *schedule.Schedule {
 }
 
 // TestServiceBitIdenticalColdAndHit is the differential test from the issue:
-// a service cold run (on a warm worker whose scratch has already served
-// other graphs) and a subsequent cache hit must both be bit-identical to a
-// direct run with a fresh scheduler. Mixed sizes force the pinned scratch to
-// regrow between runs; mixed algorithms exercise every dispatch path.
+// a service cold run (on a pooled scratch that has already served other
+// graphs) and a subsequent cache hit must both be bit-identical to a direct
+// run with a fresh scheduler. Mixed sizes force the scratch to regrow
+// between runs; mixed algorithms exercise every dispatch path.
 func TestServiceBitIdenticalColdAndHit(t *testing.T) {
 	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 8, CacheEntries: 32})
 	defer svc.Close()

@@ -169,13 +169,10 @@ type executor struct {
 	slowdowns []Slowdown // sorted by time
 	policy    Policy
 
-	// alg and worker are pinned across reschedules (lazily created on
-	// the first Reallocate re-plan): the graph's model tables are built
-	// once and served from the graph's cache to every round, and the
-	// worker's pinned scratch keeps the redistribution-cost cache and
-	// memo storage warm between rounds instead of rebuilding per step.
-	alg    *core.LoCMPS
-	worker *core.Worker
+	// alg re-plans every Reallocate reschedule (created on the first);
+	// the graph's model tables are built once and served from the graph's
+	// cache to every round.
+	alg *core.LoCMPS
 
 	// cpu[p] is when node p's processor is next free; port[p] its NIC.
 	// Without overlap the two alias the same timeline.
@@ -232,19 +229,10 @@ func execute(tg *model.TaskGraph, plan *schedule.Schedule, opt Options) (Result,
 	if c.Overlap {
 		e.port = make([]float64, c.P)
 	}
-	defer e.close()
 	if err := e.run(); err != nil {
 		return Result{}, err
 	}
 	return e.res, nil
-}
-
-// close releases the pinned worker (if any reschedule created one).
-func (e *executor) close() {
-	if e.worker != nil {
-		e.worker.Close()
-		e.worker = nil
-	}
 }
 
 // pending lists the unstarted tasks in replay order: planned start, then
@@ -426,12 +414,11 @@ func (e *executor) reschedule() error {
 	var newPlan *schedule.Schedule
 	var err error
 	if e.policy.Reallocate {
-		if e.worker == nil {
+		if e.alg == nil {
 			e.alg = core.New()
 			e.alg.Engine = cfg
-			e.worker = core.NewWorker()
 		}
-		newPlan, err = e.worker.ScheduleWithPreset(e.alg, e.tg, e.c, preset)
+		newPlan, err = e.alg.ScheduleWithPreset(e.tg, e.c, preset)
 	} else {
 		newPlan, err = core.LoCBSWithPreset(e.tg, e.c, np, cfg, preset)
 	}

@@ -743,7 +743,7 @@ func TestOnlineInvariantsProperty(t *testing.T) {
 
 // TestRescheduleReusesModelTables: the re-planning path must serve every
 // round from the graph's cached model tables (built once) and, in
-// Reallocate mode, from one pinned worker — not rebuild them per step.
+// Reallocate mode, from one scheduler instance — not rebuild them per step.
 // Pointer identity of the Tables across a Run with reschedules is the
 // regression assertion.
 func TestRescheduleReusesModelTables(t *testing.T) {

@@ -22,13 +22,14 @@
 // and the surviving placements are remapped onto the smaller graph
 // without searching.
 //
-// Incremental mode (the default) pins one core.Worker across all events
-// — the content-keyed redistribution-cost cache, the allocation memo and
-// the trace/undo-log resume machinery stay warm from one horizon to the
-// next, and model tables are carried across union rebuilds by
-// model.ConcatTables instead of re-evaluating speedup profiles. Scratch
-// mode (Config.Scratch) is the honest naive baseline: the reference
-// configuration (memo and resume off) on a freshly rebuilt
+// Incremental mode (the default) runs the full LoC-MPS configuration, with
+// the allocation memo and the trace/undo-log resume machinery on inside
+// each search, and carries model tables across union rebuilds by
+// model.ConcatTables instead of re-evaluating speedup profiles; it reuses
+// the union graph while the active set is unchanged. Each search starts
+// from a fresh memo and trace: no search state crosses from one horizon to
+// the next. Scratch mode (Config.Scratch) is the honest naive baseline:
+// the reference configuration (memo and resume off) on a freshly rebuilt
 // graph per search. Both modes produce bit-identical plans at every
 // event — the accelerations never change results — which is what the
 // BENCH_stream.json speedup gate and the all-arrivals-at-t=0
@@ -166,7 +167,7 @@ type Result struct {
 }
 
 // Sim is the event-driven simulator. Create with New, drive with Step
-// (or use Run), and Close when done to release the pinned worker.
+// (or use Run).
 type Sim struct {
 	cfg     Config
 	jobs    []*jobState
@@ -185,11 +186,9 @@ type Sim struct {
 	combined *model.TaskGraph
 	plan     *schedule.Schedule
 
-	alg    *core.LoCMPS
-	worker *core.Worker
-	ring   *latring.Ring
-	res    Result
-	closed bool
+	alg  *core.LoCMPS
+	ring *latring.Ring
+	res  Result
 }
 
 type jobState struct {
@@ -262,22 +261,13 @@ func New(cfg Config) (*Sim, error) {
 		s.alg = core.NewReference()
 	} else {
 		s.alg = core.New()
-		s.worker = core.NewWorker()
 	}
 	return s, nil
 }
 
-// Close releases the pinned worker. Step after Close is invalid.
-func (s *Sim) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.worker != nil {
-		s.worker.Close()
-		s.worker = nil
-	}
-}
+// Close ends the simulation. A Sim holds no pooled resources, so Close
+// has nothing to release.
+func (s *Sim) Close() {}
 
 // Plan exposes the current plan over Graph() — nil when no job is
 // active. Callers must not mutate it; Clone first.
@@ -468,7 +458,6 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	t0 := time.Now()
 	for {
 		_, ok, err := s.Step()
@@ -621,12 +610,7 @@ func (s *Sim) search(newActive []int, setChanged bool, rec *EventRecord) error {
 		}
 	}
 	preset := s.preset(newActive, offsets)
-	var plan *schedule.Schedule
-	if s.worker != nil {
-		plan, err = s.worker.ScheduleWithPreset(s.alg, combined, s.cfg.Cluster, preset)
-	} else {
-		plan, err = s.alg.ScheduleWithPreset(combined, s.cfg.Cluster, preset)
-	}
+	plan, err := s.alg.ScheduleWithPreset(combined, s.cfg.Cluster, preset)
 	if err != nil {
 		return fmt.Errorf("stream: reschedule at t=%v: %w", s.now, err)
 	}

@@ -212,7 +212,7 @@ func TestStreamChurnAuditClean(t *testing.T) {
 }
 
 // TestStreamIncrementalMatchesScratch: the accelerated rolling-horizon
-// path (pinned worker, shared tables, memo/resume) must replay to
+// path (shared tables, memo/resume) must replay to
 // bit-identical schedules and event times as the naive
 // rebuild-everything reference mode.
 func TestStreamIncrementalMatchesScratch(t *testing.T) {

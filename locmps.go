@@ -73,12 +73,9 @@ type (
 	// Scheduler is implemented by every algorithm in this module.
 	Scheduler = schedule.Scheduler
 	// Engine is the full algorithm interface: Scheduler plus cooperative
-	// cancellation (ScheduleContext) and capability flags. Every algorithm
-	// in this module implements it.
+	// cancellation (ScheduleContext). Every algorithm in this module
+	// implements it.
 	Engine = schedule.Engine
-	// EngineCapabilities are an Engine's static capability flags
-	// (anytime, incremental, concurrent-safe).
-	EngineCapabilities = schedule.Capabilities
 )
 
 // Simulator types.

@@ -7,9 +7,9 @@ import (
 
 // Service is a concurrent scheduling service over the LoC-MPS kernel and
 // the baselines: a sharded content-addressed result cache over canonical
-// request fingerprints, coalescing of identical in-flight requests, and
-// per-shard warm workers that keep scheduler scratch state alive across
-// runs. Construct with NewService; Schedule is safe for concurrent use.
+// request fingerprints, coalescing of identical in-flight requests, and a
+// pool of workers that run the cold searches. Construct with NewService;
+// Schedule is safe for concurrent use.
 type Service = serve.Service
 
 // ServiceConfig sizes a Service (shards, workers per shard, queue depth,

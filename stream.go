@@ -46,7 +46,7 @@ func SimulateStream(cfg StreamConfig) (*StreamResult, error) {
 }
 
 // NewStreamSim prepares a stepped streaming simulator (advance with
-// Step, release with Close).
+// Step).
 func NewStreamSim(cfg StreamConfig) (*StreamSim, error) {
 	return stream.New(cfg)
 }
