@@ -109,10 +109,9 @@ func run(fig string, full, csv bool, outDir string, workers int, useServe bool) 
 	app.Workers = workers
 	if useServe {
 		svc := locmps.NewService(locmps.ServiceConfig{
-			Shards:          workers,
-			WorkersPerShard: 1,
-			QueueDepth:      2*workers + 8,
-			CacheEntries:    4096,
+			Workers:      workers,
+			QueueDepth:   2*workers + 8,
+			CacheEntries: 4096,
 		})
 		defer func() {
 			svc.Close()

@@ -353,10 +353,9 @@ func throughputCase(workers int, cfg config) (Result, error) {
 		return Result{}, err
 	}
 	svc := locmps.NewService(locmps.ServiceConfig{
-		Shards:          workers,
-		WorkersPerShard: 1,
-		QueueDepth:      256,
-		CacheEntries:    4096,
+		Workers:      workers,
+		QueueDepth:   256,
+		CacheEntries: 4096,
 	})
 	defer svc.Close()
 
@@ -390,7 +389,7 @@ func throughputCase(workers int, cfg config) (Result, error) {
 
 // oneWorker configures the single-instance cases' service: one worker,
 // shallow queue, small cache.
-var oneWorker = locmps.ServiceConfig{Shards: 1, WorkersPerShard: 1, QueueDepth: 8, CacheEntries: 16}
+var oneWorker = locmps.ServiceConfig{Workers: 1, QueueDepth: 8, CacheEntries: 16}
 
 // hitSpeedupCase times one mid-scale instance cold, then repeatedly as a
 // cache hit, and reports cold / p50(hit).
@@ -635,7 +634,7 @@ func netCase(cfg config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	svcCfg := locmps.ServiceConfig{Shards: 2, WorkersPerShard: 1, QueueDepth: 256, CacheEntries: 4096}
+	svcCfg := locmps.ServiceConfig{Workers: 2, QueueDepth: 256, CacheEntries: 4096}
 
 	// In-process reference: warm throughput on the same stream.
 	ref := locmps.NewService(svcCfg)
@@ -703,7 +702,7 @@ func netCase(cfg config) (Result, error) {
 // injected delay every time) and then with hedging on (the replica answers
 // after the hedge delay instead).
 func hedgeCase(cfg config) (Result, error) {
-	svcCfg := locmps.ServiceConfig{Shards: 1, WorkersPerShard: 1, QueueDepth: 64, CacheEntries: 256}
+	svcCfg := locmps.ServiceConfig{Workers: 1, QueueDepth: 64, CacheEntries: 256}
 	slow, err := startNode(svcCfg, slowBy(cfg.hedgeDelay))
 	if err != nil {
 		return Result{}, err
@@ -815,7 +814,7 @@ func l2RestartCase(cfg config) (Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		n, err := startNode(locmps.ServiceConfig{Shards: 1, WorkersPerShard: 1, QueueDepth: 8, CacheEntries: 16, L2: dc}, nil)
+		n, err := startNode(locmps.ServiceConfig{Workers: 1, QueueDepth: 8, CacheEntries: 16, L2: dc}, nil)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -93,10 +93,9 @@ func (b *deadlineBody) Read(p []byte) (int, error) {
 func run() error {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
-		shards      = flag.Int("shards", 0, "service shards (0 = auto)")
-		workers     = flag.Int("workers-per-shard", 0, "workers per shard (0 = default)")
-		queue       = flag.Int("queue", 0, "per-shard queue depth (0 = default)")
-		cacheEnts   = flag.Int("cache-entries", 0, "L1 result-cache entries (0 = default)")
+		workers     = flag.Int("workers", 0, "search workers (0 = GOMAXPROCS, capped at 8)")
+		queue       = flag.Int("queue", 0, "queued cold jobs per worker (0 = 64)")
+		cacheEnts   = flag.Int("cache-entries", 0, "L1 result-cache entries in total (0 = 1024)")
 		l2dir       = flag.String("l2", "", "disk L2 cache directory (empty = no L2)")
 		l2max       = flag.Int64("l2-max-bytes", 0, "disk L2 size bound in bytes (0 = default)")
 		maxInflight = flag.Int("max-inflight", 0, "max concurrently handled requests before shedding (0 = default)")
@@ -104,10 +103,9 @@ func run() error {
 	flag.Parse()
 
 	cfg := serve.Config{
-		Shards:          *shards,
-		WorkersPerShard: *workers,
-		QueueDepth:      *queue,
-		CacheEntries:    *cacheEnts,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CacheEntries: *cacheEnts,
 	}
 	var dc *serve.DiskCache
 	if *l2dir != "" {

@@ -19,7 +19,7 @@ import (
 // shortens the body timeout to keep the run short; the other limits are
 // checked as built.
 func TestSlowBodyIsCutOff(t *testing.T) {
-	svc := serve.New(serve.Config{Shards: 1, WorkersPerShard: 1})
+	svc := serve.New(serve.Config{Workers: 1})
 	defer svc.Close()
 	node := httpserve.NewServer(svc, httpserve.ServerConfig{})
 	const cut = 300 * time.Millisecond
@@ -128,7 +128,7 @@ func TestSlowHandlerOutlivesBodyTimeout(t *testing.T) {
 // lets tune shorten them before it starts serving.
 func serveNode(t *testing.T, tune func(*http.Server)) (*httpserve.Server, string) {
 	t.Helper()
-	svc := serve.New(serve.Config{Shards: 1, WorkersPerShard: 1})
+	svc := serve.New(serve.Config{Workers: 1})
 	t.Cleanup(svc.Close)
 	node := httpserve.NewServer(svc, httpserve.ServerConfig{})
 	hs := newHTTPServer(node.Handler(), bodyReadTimeout)

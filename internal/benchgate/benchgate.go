@@ -69,15 +69,16 @@ func Read[F any](path string) (f F, found bool, err error) {
 }
 
 // Update folds this run into prev, the file previously recorded at the same
-// path (zero when there was none). prev's note and baseline are kept, except
-// that baseline entries already set on f — an explicit re-baseline — replace
-// prev's. Every current case the baseline still lacks is backfilled from
+// path (zero when there was none). f's note wins when set, so a corrected
+// note reaches the file on its next re-record; an empty one keeps prev's.
+// prev's baseline is kept, except that baseline entries already set on f —
+// an explicit re-baseline — replace prev's. Every current case the baseline still lacks is backfilled from
 // this run. Update then warns on log about every stale case, whose baseline
 // and current entries are byte-identical: the vacuous 1.0x of a baseline
 // that was never re-measured. Cases it just backfilled are exempt, since
 // their equality is by construction.
 func (f *File[R]) Update(prev File[R], log io.Writer) {
-	if prev.Note != "" {
+	if f.Note == "" {
 		f.Note = prev.Note
 	}
 	base := map[string]R{}

@@ -95,7 +95,21 @@ func TestWriteKeepsExistingBaselineByteForByte(t *testing.T) {
 		t.Fatalf("baseline changed on rewrite:\n%s\n%s", before, after)
 	}
 	if f.Note != "fresh note" {
-		t.Fatalf("note = %q, want the first run's note kept", f.Note)
+		t.Fatalf("note = %q, want the writer's note", f.Note)
+	}
+}
+
+func TestUpdateWriterNoteWins(t *testing.T) {
+	for _, tc := range []struct{ prev, writer, want string }{
+		{prev: "stale note", writer: "corrected note", want: "corrected note"},
+		{prev: "stale note", writer: "", want: "stale note"},
+		{prev: "", writer: "first note", want: "first note"},
+	} {
+		out := New[StreamResult](tc.writer)
+		out.Update(File[StreamResult]{Note: tc.prev}, &bytes.Buffer{})
+		if out.Note != tc.want {
+			t.Errorf("prev %q, writer %q: note = %q, want %q", tc.prev, tc.writer, out.Note, tc.want)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ func TestFiguresServiceRouted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := serve.New(serve.Config{Shards: 2, WorkersPerShard: 1, QueueDepth: 64, CacheEntries: 512})
+	svc := serve.New(serve.Config{Workers: 2, QueueDepth: 64, CacheEntries: 512})
 	defer svc.Close()
 	opt.Service = svc
 	routed, err := Fig4('a', opt)
@@ -57,7 +57,7 @@ func TestFig6ServiceRouted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := serve.New(serve.Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 64, CacheEntries: 256})
+	svc := serve.New(serve.Config{Workers: 1, QueueDepth: 64, CacheEntries: 256})
 	defer svc.Close()
 	opt.Service = svc
 	perfRouted, times, err := Fig6(opt)

@@ -20,7 +20,7 @@ import (
 // caller got ctx.Err() immediately and that the worker never ran the
 // abandoned job.
 func TestScheduleContextCancelledWhileQueued(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 4})
+	svc := New(Config{Workers: 1, QueueDepth: 4})
 	defer svc.Close()
 
 	// The blocker is deliberately large (hundreds of milliseconds of
@@ -72,7 +72,7 @@ func TestScheduleContextCancelledWhileQueued(t *testing.T) {
 // TestScheduleContextPreCancelled: a context dead on arrival never touches
 // a worker.
 func TestScheduleContextPreCancelled(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -87,7 +87,7 @@ func TestScheduleContextPreCancelled(t *testing.T) {
 // the result cache on repeat, distinct from the unbudgeted entry of the
 // same instance.
 func TestAnytimeMaxIterationsCaches(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	ctx := context.Background()
 	req := Request{Graph: testGraph(t, 30, 904), Cluster: testClusterP(16)}
@@ -139,7 +139,7 @@ func TestAnytimeMaxIterationsCaches(t *testing.T) {
 // uncacheable — two deadline calls must both run cold, and neither may
 // leave a cache entry behind for a later unbudgeted request.
 func TestAnytimeDeadlineBypassesCache(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	ctx := context.Background()
 	req := Request{Graph: testGraph(t, 20, 905), Cluster: testClusterP(16)}
@@ -165,7 +165,7 @@ func TestAnytimeDeadlineBypassesCache(t *testing.T) {
 // TestAnytimeUnsupported: baselines and Dual have no single iterative
 // search to truncate.
 func TestAnytimeUnsupported(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	ctx := context.Background()
 	g, c := testGraph(t, 12, 906), testClusterP(8)
@@ -184,10 +184,10 @@ func TestAnytimeUnsupported(t *testing.T) {
 // TestSharedStateRegistry: the cross-request shared-state registry is
 // gone, so one instance asked for under two option sets runs twice from
 // each worker's own warm scratch. Both results must stay bit-identical to
-// direct runs, whichever shard each lands on, and the deprecated
+// direct runs, whichever worker runs each, and the deprecated
 // SharedState counters must read 0.
 func TestSharedStateRegistry(t *testing.T) {
-	svc := New(Config{Shards: 2, WorkersPerShard: 1})
+	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	g, c := testGraph(t, 30, 907), testClusterP(16)
 

@@ -2,7 +2,6 @@ package httpserve
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,6 +17,7 @@ import (
 	"locmps/internal/latring"
 	"locmps/internal/schedule"
 	"locmps/internal/serve"
+	"locmps/internal/serve/lru"
 )
 
 // ClientConfig tunes a scheduling-service client.
@@ -25,27 +25,35 @@ type ClientConfig struct {
 	// Nodes are the base URLs of the service nodes, e.g.
 	// "http://127.0.0.1:8080". At least one is required.
 	Nodes []string
-	// VirtualNodes is the number of ring points per node (<= 0 selects 64).
-	// More points smooth the key distribution across nodes.
-	VirtualNodes int
 	// HedgeFloor is the minimum hedge delay (<= 0 selects 2ms): until the
 	// latency window has data — and for sub-floor p99s — the hedge fires
 	// this long after the primary.
 	HedgeFloor time.Duration
 	// DisableHedging turns hedged retries off; failover on error remains.
 	DisableHedging bool
-	// BodyCacheEntries bounds the client-side cache of encoded request
-	// bodies, keyed by fingerprint (<= 0 selects 512). Re-sending a request
-	// then skips profile sampling and JSON encoding entirely. Only
-	// budget-free requests are cached — budgets carry relative deadlines
-	// that must be re-encoded per send.
-	BodyCacheEntries int
-	// ResultCacheEntries bounds the client-side cache of decoded schedules
-	// keyed by fingerprint (<= 0 selects 256). A repeat request revalidates
-	// its cached result with If-None-Match — results are immutable and
-	// content-addressed, so a 304 proves the local copy is current and the
-	// response body never crosses the wire, let alone gets re-decoded.
-	ResultCacheEntries int
+}
+
+// virtualNodes is the number of ring points per node. More points smooth
+// the key distribution across nodes.
+const virtualNodes = 64
+
+// clientCacheEntries bounds the client's per-fingerprint cache of sent
+// requests (see clientEnt).
+const clientCacheEntries = 512
+
+// clientEnt is what the client remembers about one budget-free request it
+// sent, keyed by fingerprint. body is the encoded request, so a re-send
+// skips profile sampling and JSON encoding entirely (budgeted requests are
+// never cached: their relative deadlines are re-encoded per send). sched
+// is the decoded schedule the node answered, with that response's ETag; a
+// repeat revalidates it with If-None-Match, and a 304 proves the local
+// copy is current, so the response body never crosses the wire, let alone
+// gets re-decoded. sched is never handed out — callers get Clones — and
+// both it and etag are unset until an answer with an ETag arrives.
+type clientEnt struct {
+	body  []byte
+	etag  string
+	sched *schedule.Schedule
 }
 
 // Client talks to a fleet of scheduling nodes. Routing is
@@ -58,14 +66,15 @@ type ClientConfig struct {
 // cached by fingerprint, hedging is always safe — the worst case is one
 // redundant cache lookup on the replica.
 type Client struct {
-	nodes   []string
-	ring    *hashRing
-	hc      *http.Client
-	lat     *latring.Ring
-	floor   time.Duration
-	hedge   bool
-	bodies  *bodyCache
-	results *resultCache
+	nodes []string
+	ring  *hashRing
+	hc    *http.Client
+	lat   *latring.Ring
+	floor time.Duration
+	hedge bool
+
+	mu   sync.Mutex // guards sent
+	sent *lru.Cache[serve.Key, clientEnt]
 
 	hedges, hedgeWins, failovers, revalidated atomic.Uint64
 }
@@ -90,25 +99,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		}
 		nodes[i] = n
 	}
-	vn := cfg.VirtualNodes
-	if vn <= 0 {
-		vn = 64
-	}
 	floor := cfg.HedgeFloor
 	if floor <= 0 {
 		floor = 2 * time.Millisecond
 	}
-	entries := cfg.BodyCacheEntries
-	if entries <= 0 {
-		entries = 512
-	}
-	resEntries := cfg.ResultCacheEntries
-	if resEntries <= 0 {
-		resEntries = 256
-	}
 	return &Client{
 		nodes: nodes,
-		ring:  newRing(nodes, vn),
+		ring:  newRing(nodes, virtualNodes),
 		hc: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        256,
 			MaxIdleConnsPerHost: 64,
@@ -117,11 +114,10 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			// down on loopback; skipping negotiation trims the hot path.
 			DisableCompression: true,
 		}},
-		lat:     latring.New(clientLatWindow),
-		floor:   floor,
-		hedge:   !cfg.DisableHedging,
-		bodies:  newBodyCache(entries),
-		results: newResultCache(resEntries),
+		lat:   latring.New(clientLatWindow),
+		floor: floor,
+		hedge: !cfg.DisableHedging,
+		sent:  lru.New[serve.Key, clientEnt](clientCacheEntries, nil),
 	}, nil
 }
 
@@ -139,35 +135,36 @@ func (c *Client) Schedule(ctx context.Context, req serve.Request) (*schedule.Sch
 	if err != nil {
 		return nil, err
 	}
-	// A body-cache hit means this instance was sent before: skip re-encoding
-	// and let the attempt try the content-addressed GET first — the node
-	// that served it last time answers from its response cache without the
-	// body crossing the wire again. A result-cache hit goes further: the
-	// request carries If-None-Match, and a 304 means the decoded schedule we
-	// already hold is provably current (results are immutable), so neither
-	// the body nor the decode cost is paid again.
-	master, etag := c.results.get(key)
-	body, sentBefore := c.bodies.get(key)
+	// A cache hit means this instance was sent before: skip re-encoding and
+	// let the attempt try the content-addressed GET first — the node that
+	// served it last time answers from its response cache without the body
+	// crossing the wire again. With a cached answer the request also
+	// carries If-None-Match, and a 304 means the decoded schedule we
+	// already hold is current, so neither the body nor the decode cost is
+	// paid again.
+	c.mu.Lock()
+	ent, sentBefore := c.sent.Get(key)
+	c.mu.Unlock()
 	if !sentBefore {
 		wr, err := serve.WireFromRequest(req, core.Budget{})
 		if err != nil {
 			return nil, err
 		}
-		if body, err = json.Marshal(wr); err != nil {
+		if ent.body, err = json.Marshal(wr); err != nil {
 			return nil, err
 		}
-		c.bodies.put(key, body)
+		c.remember(key, ent)
 	}
-	res, err := c.do(ctx, key, body, sentBefore, etag)
+	res, err := c.do(ctx, key, ent.body, sentBefore, ent.etag)
 	if err != nil {
 		return nil, err
 	}
 	if res.notModified {
-		if master == nil {
+		if ent.sched == nil {
 			return nil, errors.New("httpserve: 304 without a cached result")
 		}
 		c.revalidated.Add(1)
-		return master.Clone(), nil
+		return ent.sched.Clone(), nil
 	}
 	s, err := res.wr.Schedule.ToSchedule(req.Graph)
 	if err != nil {
@@ -176,10 +173,17 @@ func (c *Client) Schedule(ctx context.Context, req serve.Request) (*schedule.Sch
 	if res.etag != "" {
 		// Keep the decoded master private to the cache; hand the caller a
 		// deep copy so later revalidated hits can't observe its mutations.
-		c.results.put(key, res.etag, s)
+		ent.etag, ent.sched = res.etag, s
+		c.remember(key, ent)
 		return s.Clone(), nil
 	}
 	return s, nil
+}
+
+func (c *Client) remember(key serve.Key, ent clientEnt) {
+	c.mu.Lock()
+	c.sent.Add(key, ent)
+	c.mu.Unlock()
 }
 
 // ScheduleAnytime requests a budget-bounded schedule; the budget crosses
@@ -492,99 +496,4 @@ func (c *Client) roundTrip(ctx context.Context, node, method, url string, body [
 		return nil, &nodeError{node: node, err: fmt.Errorf("response schema %q, want %q", wr.Schema, serve.WireVersion), retryable: false}
 	}
 	return &wireResult{wr: &wr, etag: resp.Header.Get("ETag")}, nil
-}
-
-// resultCache is a small LRU of decoded schedules keyed by fingerprint,
-// each paired with the server's ETag for its encoded form. Masters are
-// never handed out — callers get Clones — so a revalidated hit costs one
-// deep copy instead of a JSON decode.
-type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	byKey map[serve.Key]*list.Element
-}
-
-type resultEnt struct {
-	key   serve.Key
-	etag  string
-	sched *schedule.Schedule
-}
-
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, ll: list.New(), byKey: make(map[serve.Key]*list.Element)}
-}
-
-func (rc *resultCache) get(k serve.Key) (*schedule.Schedule, string) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	e, ok := rc.byKey[k]
-	if !ok {
-		return nil, ""
-	}
-	rc.ll.MoveToFront(e)
-	ent := e.Value.(*resultEnt)
-	return ent.sched, ent.etag
-}
-
-func (rc *resultCache) put(k serve.Key, etag string, s *schedule.Schedule) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if e, ok := rc.byKey[k]; ok {
-		ent := e.Value.(*resultEnt)
-		ent.etag, ent.sched = etag, s
-		rc.ll.MoveToFront(e)
-		return
-	}
-	rc.byKey[k] = rc.ll.PushFront(&resultEnt{key: k, etag: etag, sched: s})
-	for rc.ll.Len() > rc.cap {
-		back := rc.ll.Back()
-		delete(rc.byKey, back.Value.(*resultEnt).key)
-		rc.ll.Remove(back)
-	}
-}
-
-// bodyCache is a small LRU of wire-encoded request bodies keyed by
-// fingerprint, so repeat sends of the same instance skip re-encoding.
-type bodyCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	byKey map[serve.Key]*list.Element
-}
-
-type bodyEnt struct {
-	key  serve.Key
-	body []byte
-}
-
-func newBodyCache(capacity int) *bodyCache {
-	return &bodyCache{cap: capacity, ll: list.New(), byKey: make(map[serve.Key]*list.Element)}
-}
-
-func (b *bodyCache) get(k serve.Key) ([]byte, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.byKey[k]
-	if !ok {
-		return nil, false
-	}
-	b.ll.MoveToFront(e)
-	return e.Value.(*bodyEnt).body, true
-}
-
-func (b *bodyCache) put(k serve.Key, body []byte) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e, ok := b.byKey[k]; ok {
-		e.Value.(*bodyEnt).body = body
-		b.ll.MoveToFront(e)
-		return
-	}
-	b.byKey[k] = b.ll.PushFront(&bodyEnt{key: k, body: body})
-	for b.ll.Len() > b.cap {
-		back := b.ll.Back()
-		delete(b.byKey, back.Value.(*bodyEnt).key)
-		b.ll.Remove(back)
-	}
 }

@@ -53,7 +53,7 @@ func wireBody(t testing.TB, req serve.Request, b core.Budget) []byte {
 func cacheSizes(s *Server) (byKey, byBody int) {
 	s.resp.mu.Lock()
 	defer s.resp.mu.Unlock()
-	return len(s.resp.byKey), len(s.resp.byBody)
+	return s.resp.entries.Len(), len(s.resp.byBody)
 }
 
 func bodyCached(s *Server, body []byte) bool {
@@ -68,7 +68,7 @@ func bodyCached(s *Server, body []byte) bool {
 // fields reordered under the v1 schema; served by fingerprint) all return
 // the same bytes and ETag, and only the cold request reaches the service.
 func TestDigestHitMatchesCold(t *testing.T) {
-	svc, srv, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
+	svc, srv, node := newNode(t, serve.Config{Workers: 1}, ServerConfig{})
 	body := wireBody(t, testRequest(t, 12, 61, 8), core.Budget{})
 
 	var indented bytes.Buffer
@@ -140,7 +140,7 @@ func TestDigestHitMatchesCold(t *testing.T) {
 // decoded. An entry planted under the digest of bytes that are not JSON
 // at all is served as it is.
 func TestDigestHitSkipsDecode(t *testing.T) {
-	_, srv, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
+	_, srv, node := newNode(t, serve.Config{Workers: 1}, ServerConfig{})
 	body := []byte("not json at all")
 	srv.resp.put(respKey{}, respVal{data: []byte(`{"planted":true}`), etag: `"planted"`}, sha256.Sum256(body))
 	got := postRaw(t, node.URL, body)
@@ -153,7 +153,7 @@ func TestDigestHitSkipsDecode(t *testing.T) {
 // its body is never recorded or served by digest — the repeat reaches the
 // service again.
 func TestDigestSkipsDeadline(t *testing.T) {
-	svc, srv, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
+	svc, srv, node := newNode(t, serve.Config{Workers: 1}, ServerConfig{})
 	body := []byte(strings.Replace(string(wireBody(t, testRequest(t, 10, 62, 8), core.Budget{})),
 		`"schema":`, `"budget":{"deadline_ns":60000000000},"schema":`, 1))
 	for i := 1; i <= 2; i++ {
@@ -177,7 +177,7 @@ func TestDigestSkipsDeadline(t *testing.T) {
 // not a digest or an envelope; interleaved repeats of each return that
 // body's own bytes.
 func TestDigestKeepsAnytimeEnvelope(t *testing.T) {
-	_, srv, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
+	_, srv, node := newNode(t, serve.Config{Workers: 1}, ServerConfig{})
 	req := testRequest(t, 16, 63, 8)
 	budgeted := wireBody(t, req, core.Budget{MaxIterations: 1})
 	req.Options.MaxIterations = 1
@@ -216,7 +216,7 @@ func TestDigestKeepsAnytimeEnvelope(t *testing.T) {
 // time — malformed JSON, an invalid graph, and a body over MaxBodyBytes —
 // and none is recorded by digest.
 func TestDigestRepeatedFailures(t *testing.T) {
-	_, srv, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{MaxBodyBytes: 2048})
+	_, srv, node := newNode(t, serve.Config{Workers: 1}, ServerConfig{MaxBodyBytes: 2048})
 	valid := wireBody(t, testRequest(t, 6, 64, 4), core.Budget{})
 	oversize := wireBody(t, testRequest(t, 40, 64, 16), core.Budget{})
 	if len(valid) > 2048 || len(oversize) <= 2048 {
@@ -246,11 +246,18 @@ func TestDigestRepeatedFailures(t *testing.T) {
 }
 
 // TestDigestEviction: the digest index lives and dies with the LRU. After
-// RespCacheEntries+1 distinct keys the oldest entry is gone together with
-// its digest, so its body misses and reaches the service again.
+// capacity+1 distinct keys the oldest entry is gone together with its
+// digest, so its body misses and reaches the service again.
 func TestDigestEviction(t *testing.T) {
 	const entries = 3
-	svc, srv, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{RespCacheEntries: entries})
+	svc := serve.New(serve.Config{Workers: 1})
+	srv := NewServer(svc, ServerConfig{})
+	srv.resp = newRespCache(entries) // before the first request is served
+	node := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		node.Close()
+		svc.Close()
+	})
 	var bodies [][]byte
 	for i := range entries + 1 {
 		body := wireBody(t, testRequest(t, 6, int64(70+i), 4), core.Budget{})
@@ -291,7 +298,7 @@ func FuzzScheduleBody(f *testing.F) {
 	f.Add([]byte(`{"schema":"locmps/wire/v2","tasks":[{"et":[1]}],"cluster":{"p":1,"bandwidth":1},"budget":{"deadline_ns":1}}`))
 	f.Add([]byte("{not json"))
 
-	svc := serve.New(serve.Config{Shards: 1, WorkersPerShard: 1})
+	svc := serve.New(serve.Config{Workers: 1})
 	f.Cleanup(svc.Close)
 	h := NewServer(svc, ServerConfig{MaxBodyBytes: 16 << 10}).Handler()
 	// The handler is driven in-process: a loopback server's connection
@@ -320,4 +327,44 @@ func FuzzScheduleBody(f *testing.F) {
 			t.Fatalf("responses differ for %q:\n%s\n%s", body, a.Body, b.Body)
 		}
 	})
+}
+
+// fullRespCache returns a response cache filled to capacity and the body
+// digest of one of its entries.
+func fullRespCache() (*respCache, bodyDigest) {
+	c := newRespCache(respCacheEntries)
+	var d bodyDigest
+	for i := range respCacheEntries {
+		var k respKey
+		k.key[0], k.key[1] = byte(i), byte(i>>8)
+		d = sha256.Sum256(k.key[:])
+		c.put(k, respVal{data: []byte(`{}`), etag: `"e"`}, d)
+	}
+	return c, d
+}
+
+// TestDigestHitAllocatesNothing: the lookup every byte-identical repeat
+// takes allocates nothing.
+func TestDigestHitAllocatesNothing(t *testing.T) {
+	c, d := fullRespCache()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := c.getBody(d); !ok {
+			t.Fatal("digest miss")
+		}
+	}); allocs != 0 {
+		t.Fatalf("digest hit allocates %v times, want 0", allocs)
+	}
+}
+
+// BenchmarkDigestHit times the response cache's digest lookup on a full
+// cache: one lock, two map lookups, no allocation.
+func BenchmarkDigestHit(b *testing.B) {
+	c, d := fullRespCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.getBody(d); !ok {
+			b.Fatal("digest miss")
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,9 +82,9 @@ func maskedWire(t *testing.T, s *schedule.Schedule, m int) []byte {
 // over HTTP is byte-for-byte the schedule a local serve.Service produces
 // for the same request (wall-clock SchedulingTime aside), and audits clean.
 func TestDifferentialBitIdentity(t *testing.T) {
-	ref := serve.New(serve.Config{Shards: 2, WorkersPerShard: 1})
+	ref := serve.New(serve.Config{Workers: 2})
 	defer ref.Close()
-	_, _, node := newNode(t, serve.Config{Shards: 2, WorkersPerShard: 1}, ServerConfig{})
+	_, _, node := newNode(t, serve.Config{Workers: 2}, ServerConfig{})
 	client := newTestClient(t, ClientConfig{Nodes: []string{node.URL}})
 	ctx := t.Context()
 
@@ -122,9 +123,9 @@ func TestDifferentialBitIdentity(t *testing.T) {
 // their truncation flag and quality certificate intact and bit-identical
 // schedules.
 func TestDifferentialAnytime(t *testing.T) {
-	ref := serve.New(serve.Config{Shards: 1, WorkersPerShard: 1})
+	ref := serve.New(serve.Config{Workers: 1})
 	defer ref.Close()
-	_, _, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
+	_, _, node := newNode(t, serve.Config{Workers: 1}, ServerConfig{})
 	client := newTestClient(t, ClientConfig{Nodes: []string{node.URL}})
 	ctx := t.Context()
 
@@ -189,12 +190,12 @@ func requestHomedAt(t *testing.T, c *Client, want string, P int) serve.Request {
 // and on the happy path (fast home node) no hedge and no duplicate search
 // happen at all.
 func TestHedgingClipsTailLatency(t *testing.T) {
-	svcA := serve.New(serve.Config{Shards: 1, WorkersPerShard: 1})
+	svcA := serve.New(serve.Config{Workers: 1})
 	defer svcA.Close()
 	gate := &slowGate{inner: NewServer(svcA, ServerConfig{}).Handler(), delay: 400 * time.Millisecond}
 	nodeA := httptest.NewServer(gate)
 	defer nodeA.Close()
-	svcB, srvB, nodeB := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
+	svcB, srvB, nodeB := newNode(t, serve.Config{Workers: 1}, ServerConfig{})
 
 	client := newTestClient(t, ClientConfig{
 		Nodes: []string{nodeA.URL, nodeB.URL},
@@ -263,7 +264,7 @@ func TestFailoverOnDeadNode(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close() // connection refused from now on
-	_, _, live := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
+	_, _, live := newNode(t, serve.Config{Workers: 1}, ServerConfig{})
 
 	client := newTestClient(t, ClientConfig{
 		Nodes:      []string{deadURL, live.URL},
@@ -285,7 +286,7 @@ func TestFailoverOnDeadNode(t *testing.T) {
 // TestAdmissionControlSheds: a node at MaxInflight sheds with 503 and a
 // Retry-After hint instead of queueing.
 func TestAdmissionControlSheds(t *testing.T) {
-	_, srv, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{MaxInflight: 1, RetryAfterSeconds: 7})
+	_, srv, node := newNode(t, serve.Config{Workers: 1}, ServerConfig{MaxInflight: 1})
 
 	req := testRequest(t, 10, 21, 8)
 	wr, err := serve.WireFromRequest(req, core.Budget{})
@@ -306,8 +307,8 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After %q, want \"7\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want the 1 s constant", ra)
 	}
 	var we wireError
 	if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Error == "" {
@@ -351,7 +352,7 @@ func (b *blockingL2) Put(serve.Key, serve.Request, *schedule.Schedule, bool) {}
 // counts a cancellation instead of burning a worker.
 func TestClientDisconnectCancelsQueuedJob(t *testing.T) {
 	l2 := &blockingL2{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	svc, _, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1, L2: l2}, ServerConfig{})
+	svc, _, node := newNode(t, serve.Config{Workers: 1, L2: l2}, ServerConfig{})
 	client := newTestClient(t, ClientConfig{Nodes: []string{node.URL}})
 
 	// Wedge the only worker on request one.
@@ -373,7 +374,7 @@ func TestClientDisconnectCancelsQueuedJob(t *testing.T) {
 		_, err := client.Schedule(ctx, testRequest(t, 10, 32, 8))
 		second <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let it reach the shard queue
+	time.Sleep(50 * time.Millisecond) // let it reach the job queue
 	cancel()
 	if err := <-second; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled request returned %v, want context.Canceled", err)
@@ -395,7 +396,7 @@ func TestClientDisconnectCancelsQueuedJob(t *testing.T) {
 // TestBadRequests: malformed bodies and foreign schemas are 400s with JSON
 // error bodies, not 500s.
 func TestBadRequests(t *testing.T) {
-	_, _, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
+	_, _, node := newNode(t, serve.Config{Workers: 1}, ServerConfig{})
 	for _, body := range []string{
 		"{not json",
 		`{"schema":"locmps/wire/v999","tasks":[{"et":[1]}],"cluster":{"p":1,"bandwidth":1}}`,
@@ -420,7 +421,7 @@ func TestBadRequests(t *testing.T) {
 // TestStatsAndReady: /healthz gates WaitReady and /v1/stats serves the
 // documented counters.
 func TestStatsAndReady(t *testing.T) {
-	svc, _, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
+	svc, _, node := newNode(t, serve.Config{Workers: 1}, ServerConfig{})
 	client := newTestClient(t, ClientConfig{Nodes: []string{node.URL}})
 	ctx, cancel := context.WithTimeout(t.Context(), 5*time.Second)
 	defer cancel()
@@ -499,10 +500,12 @@ func TestRing(t *testing.T) {
 	}
 }
 
-// TestBodyCacheReuse: repeat sends of one instance hit the encoded-body
-// cache (and still return correct results).
+// TestBodyCacheReuse: repeat sends of one instance hit the client's
+// per-fingerprint entry, which holds the encoded body and, once answered,
+// the ETag and decoded schedule together (and still return correct
+// results).
 func TestBodyCacheReuse(t *testing.T) {
-	_, _, node := newNode(t, serve.Config{Shards: 1, WorkersPerShard: 1}, ServerConfig{})
+	_, _, node := newNode(t, serve.Config{Workers: 1}, ServerConfig{})
 	client := newTestClient(t, ClientConfig{Nodes: []string{node.URL}})
 	ctx := t.Context()
 	req := testRequest(t, 10, 51, 8)
@@ -510,21 +513,74 @@ func TestBodyCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sent := func() clientEnt {
+		client.mu.Lock()
+		defer client.mu.Unlock()
+		ent, ok := client.sent.Get(key)
+		if !ok {
+			t.Fatal("no cache entry after a send")
+		}
+		return ent
+	}
 	if _, err := client.Schedule(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := client.bodies.get(key); !ok {
-		t.Fatal("encoded body not cached after first send")
+	if ent := sent(); len(ent.body) == 0 || ent.etag == "" || ent.sched == nil {
+		t.Fatalf("entry after first send: body %d bytes, etag %q, schedule %v; want all three", len(ent.body), ent.etag, ent.sched != nil)
 	}
 	if _, err := client.Schedule(ctx, req); err != nil {
 		t.Fatal(err)
+	}
+	if st := client.Stats(); st.Revalidated != 1 {
+		t.Fatalf("Revalidated = %d after a repeat, want 1", st.Revalidated)
 	}
 	// Budgeted requests must not poison the body cache with stale deadlines.
 	if _, err := client.ScheduleAnytime(ctx, req, core.Budget{MaxIterations: 1}); err != nil {
 		t.Fatal(err)
 	}
-	cached, _ := client.bodies.get(key)
-	if bytes.Contains(cached, []byte("budget")) {
+	if bytes.Contains(sent().body, []byte("budget")) {
 		t.Fatal("body cache holds a budgeted encoding")
 	}
+}
+
+// TestClientConcurrentRepeats: goroutines sharing one client send and
+// repeat a few instances at once, so first sends, revalidations and cache
+// updates interleave on the client's per-fingerprint cache. Every answer
+// must be the direct service's schedule (run under -race in CI).
+func TestClientConcurrentRepeats(t *testing.T) {
+	ref := serve.New(serve.Config{Workers: 1})
+	defer ref.Close()
+	_, _, node := newNode(t, serve.Config{Workers: 2}, ServerConfig{})
+	client := newTestClient(t, ClientConfig{Nodes: []string{node.URL}})
+	reqs := []serve.Request{testRequest(t, 8, 61, 4), testRequest(t, 8, 62, 4), testRequest(t, 8, 63, 4)}
+	want := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		s, err := ref.Schedule(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = maskedWire(t, s, req.Graph.M())
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 3 * len(reqs) {
+				i := (g + r) % len(reqs)
+				got, err := client.Schedule(t.Context(), reqs[i])
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				w := serve.WireFromSchedule(got, reqs[i].Graph.M())
+				w.SchedulingTimeNS = 0
+				if data, err := json.Marshal(w); err != nil || !bytes.Equal(data, want[i]) {
+					t.Errorf("goroutine %d, request %d: schedule differs from direct service (%v)", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -30,9 +30,6 @@ type ringPoint struct {
 // "node#vnode", so every client that agrees on the node list agrees on the
 // ring — no coordination needed.
 func newRing(nodes []string, vnodes int) *hashRing {
-	if vnodes < 1 {
-		vnodes = 1
-	}
 	r := &hashRing{nodes: nodes}
 	for i, n := range nodes {
 		for v := 0; v < vnodes; v++ {
@@ -49,8 +46,8 @@ func newRing(nodes []string, vnodes int) *hashRing {
 	return r
 }
 
-// keyHash projects a fingerprint onto the ring's circle — the same leading
-// 8 bytes serve.Service shards by.
+// keyHash projects a fingerprint onto the ring's circle: its leading 8
+// bytes.
 func keyHash(k serve.Key) uint64 { return binary.LittleEndian.Uint64(k[:8]) }
 
 // pick returns the key's home node and the next distinct node clockwise

@@ -2,7 +2,6 @@ package httpserve
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -16,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"locmps/internal/serve"
+	"locmps/internal/serve/lru"
 )
 
 // ServerConfig tunes one HTTP scheduling node.
@@ -27,21 +27,8 @@ type ServerConfig struct {
 	// just hide overload in goroutine pileups. <= 0 selects
 	// DefaultMaxInflight.
 	MaxInflight int
-	// RetryAfterSeconds is the Retry-After hint attached to shed and
-	// overloaded responses. <= 0 selects 1.
-	RetryAfterSeconds int
 	// MaxBodyBytes bounds a request body. <= 0 selects DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// RespCacheEntries bounds the node's cache of fully encoded response
-	// bytes, keyed by request fingerprint (<= 0 selects 1024). A repeat
-	// whose body is byte-identical to one already answered is served by a
-	// SHA-256 of the body, a map lookup and a single write — no JSON
-	// decode, no fingerprint, no scheduling pipeline. A repeat encoded
-	// differently (whitespace, field order) is decoded and fingerprinted
-	// but still skips the pipeline. Clients can also fetch known results
-	// content-addressed via GET /v1/schedule/{key} without re-sending the
-	// request body at all.
-	RespCacheEntries int
 }
 
 // DefaultMaxInflight is the admission bound when the config leaves it zero.
@@ -50,6 +37,20 @@ const DefaultMaxInflight = 256
 // DefaultMaxBodyBytes bounds request bodies: 64 MiB, far above any sane
 // task graph but below what would let one request exhaust memory.
 const DefaultMaxBodyBytes = 64 << 20
+
+// retryAfterSeconds is the Retry-After hint on shed and overloaded
+// responses.
+const retryAfterSeconds = 1
+
+// respCacheEntries bounds the node's cache of fully encoded response
+// bytes, keyed by request fingerprint. A repeat whose body is
+// byte-identical to one already answered is served by a SHA-256 of the
+// body, two map lookups and a single write — no JSON decode, no
+// fingerprint, no scheduling pipeline. A repeat encoded differently
+// (whitespace, field order) is decoded and fingerprinted but still skips
+// the pipeline. Clients can also fetch known results content-addressed via
+// GET /v1/schedule/{key} without re-sending the request body at all.
+const respCacheEntries = 1024
 
 // Server exposes a serve.Service over HTTP/JSON:
 //
@@ -67,7 +68,7 @@ type Server struct {
 	mux *http.ServeMux
 	sem chan struct{}
 
-	resp respCache
+	resp *respCache
 
 	inflight atomic.Int64
 	shed     atomic.Uint64
@@ -80,17 +81,16 @@ func NewServer(svc *serve.Service, cfg ServerConfig) *Server {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = DefaultMaxInflight
 	}
-	if cfg.RetryAfterSeconds <= 0 {
-		cfg.RetryAfterSeconds = 1
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if cfg.RespCacheEntries <= 0 {
-		cfg.RespCacheEntries = 1024
+	s := &Server{
+		svc:  svc,
+		cfg:  cfg,
+		mux:  http.NewServeMux(),
+		sem:  make(chan struct{}, cfg.MaxInflight),
+		resp: newRespCache(respCacheEntries),
 	}
-	s := &Server{svc: svc, cfg: cfg, mux: http.NewServeMux(), sem: make(chan struct{}, cfg.MaxInflight)}
-	s.resp.init(cfg.RespCacheEntries)
 	s.mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
 	s.mux.HandleFunc("GET /v1/schedule/{key}", s.handleGetSchedule)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -112,7 +112,7 @@ type wireError struct {
 func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	if code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(wireError{Error: msg})
@@ -268,9 +268,13 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// etagFor derives the strong validator for a response body. Results are
-// content-addressed and deterministic, so the same request yields the same
-// bytes — and therefore the same ETag — on every node.
+// etagFor derives the strong validator for a response body: a hash of
+// the exact bytes this node sent. It is per node, not per request: every
+// response stamps the wall-clock scheduling_time_ns of the run that made
+// it, so two nodes (or one node before and after a restart) answer the
+// same request with different bytes and different ETags. If-None-Match
+// therefore matches only on the node whose bytes the client holds; any
+// other node sends the full body.
 func etagFor(data []byte) string {
 	sum := sha256.Sum256(data)
 	return `"` + hex.EncodeToString(sum[:16]) + `"`
@@ -350,7 +354,6 @@ type NodeStats struct {
 	L2Writes          uint64 `json:"l2_writes"`
 	Evictions         uint64 `json:"evictions"`
 	CacheEntries      int    `json:"cache_entries"`
-	Shards            int    `json:"shards"`
 	Workers           int    `json:"workers"`
 	UptimeNS          int64  `json:"uptime_ns"`
 	P50NS             int64  `json:"p50_ns"`
@@ -385,7 +388,6 @@ func (s *Server) Stats() NodeStats {
 		L2Writes:      st.L2Writes,
 		Evictions:     st.Evictions,
 		CacheEntries:  st.CacheEntries,
-		Shards:        st.Shards,
 		Workers:       st.Workers,
 		UptimeNS:      st.Uptime.Nanoseconds(),
 		P50NS:         st.P50.Nanoseconds(),
@@ -423,89 +425,77 @@ type bodyDigest [sha256.Size]byte
 // SHA-256 in practice).
 var noBody bodyDigest
 
-// respCache is a bounded LRU of fully encoded response bodies. Entries are
-// keyed by respKey; each may also carry the digest of one request body
-// known to decode to that key, indexed by byBody. Evicting an entry drops
-// both keys, so len(byBody) <= len(byKey) <= cap.
+// respCache is a bounded LRU of fully encoded response bodies keyed by
+// respKey. Each entry may also carry the digest of one request body known
+// to decode to its key, indexed by byBody; evicting an entry drops its
+// digest too, so len(byBody) <= entries.Len() <= capacity.
 type respCache struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List
-	byKey  map[respKey]*list.Element
-	byBody map[bodyDigest]*list.Element
+	mu      sync.Mutex
+	entries *lru.Cache[respKey, *respEnt]
+	byBody  map[bodyDigest]respKey
 }
 
 type respEnt struct {
-	key  respKey
 	val  respVal
 	body bodyDigest // noBody when none is recorded
 }
 
-func (c *respCache) init(capacity int) {
-	c.cap = capacity
-	c.ll = list.New()
-	c.byKey = make(map[respKey]*list.Element)
-	c.byBody = make(map[bodyDigest]*list.Element)
+func newRespCache(capacity int) *respCache {
+	c := &respCache{byBody: make(map[bodyDigest]respKey)}
+	c.entries = lru.New(capacity, func(_ respKey, e *respEnt) { delete(c.byBody, e.body) })
+	return c
 }
 
 // get looks k up and, on a hit, records body (unless noBody) on the entry.
 func (c *respCache) get(k respKey, body bodyDigest) (respVal, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.byKey[k]
+	e, ok := c.entries.Get(k)
 	if !ok {
 		return respVal{}, false
 	}
-	c.ll.MoveToFront(e)
-	c.bind(e, body)
-	return e.Value.(*respEnt).val, true
+	c.bind(k, e, body)
+	return e.val, true
 }
 
-// getBody looks an entry up by request-body digest.
+// getBody looks an entry up by request-body digest: one lock, two map
+// lookups and no allocation, since this is the path every byte-identical
+// repeat takes.
 func (c *respCache) getBody(d bodyDigest) (respVal, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.byBody[d]
-	if !ok {
-		return respVal{}, false
+	if k, ok := c.byBody[d]; ok {
+		if e, ok := c.entries.Get(k); ok { // always: eviction drops the digest
+			return e.val, true
+		}
 	}
-	c.ll.MoveToFront(e)
-	return e.Value.(*respEnt).val, true
+	return respVal{}, false
 }
 
 // put stores v under k, recording body (unless noBody) on the entry.
 func (c *respCache) put(k respKey, v respVal, body bodyDigest) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.byKey[k]
+	e, ok := c.entries.Get(k)
 	if ok {
-		e.Value.(*respEnt).val = v
-		c.ll.MoveToFront(e)
+		e.val = v
 	} else {
-		e = c.ll.PushFront(&respEnt{key: k, val: v})
-		c.byKey[k] = e
+		e = &respEnt{val: v}
+		c.entries.Add(k, e)
 	}
-	c.bind(e, body)
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		ent := back.Value.(*respEnt)
-		delete(c.byKey, ent.key)
-		delete(c.byBody, ent.body)
-		c.ll.Remove(back)
-	}
+	c.bind(k, e, body)
 }
 
-// bind makes d the one body digest of entry e, replacing any other. A
-// body decodes to exactly one respKey, so d is never bound to another
-// entry. The caller holds c.mu.
-func (c *respCache) bind(e *list.Element, d bodyDigest) {
-	ent := e.Value.(*respEnt)
-	if d == noBody || ent.body == d {
+// bind makes d the one body digest of entry e (stored under k), replacing
+// any other. A body decodes to exactly one respKey, so d is never bound to
+// another entry. The caller holds c.mu.
+func (c *respCache) bind(k respKey, e *respEnt, d bodyDigest) {
+	if d == noBody || e.body == d {
 		return
 	}
-	delete(c.byBody, ent.body)
-	ent.body = d
-	c.byBody[d] = e
+	delete(c.byBody, e.body)
+	e.body = d
+	c.byBody[d] = k
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

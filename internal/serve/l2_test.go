@@ -34,7 +34,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	s, err := svc.Schedule(req)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	req := l2Request(t, 12, 2)
 	key, _ := req.Fingerprint()
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	s, err := svc.Schedule(req)
 	svc.Close()
 	if err != nil {
@@ -101,7 +101,7 @@ func TestDiskCacheCorruptionTolerated(t *testing.T) {
 	}
 	req := l2Request(t, 10, 3)
 	key, _ := req.Fingerprint()
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	s, err := svc.Schedule(req)
 	if err != nil {
@@ -277,7 +277,7 @@ func FuzzDiskCacheGetWinner(f *testing.F) {
 // recently touched entries survive.
 func TestDiskCacheEviction(t *testing.T) {
 	dir := t.TempDir()
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 
 	reqs := make([]Request, 6)
@@ -356,7 +356,7 @@ func TestServiceL2Integration(t *testing.T) {
 	}
 	req := l2Request(t, 14, 9)
 
-	svc1 := New(Config{Shards: 1, WorkersPerShard: 1, L2: dc})
+	svc1 := New(Config{Workers: 1, L2: dc})
 	cold, err := svc1.Schedule(req)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestServiceL2Integration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc2 := New(Config{Shards: 1, WorkersPerShard: 1, L2: dc2})
+	svc2 := New(Config{Workers: 1, L2: dc2})
 	defer svc2.Close()
 	warm, err := svc2.Schedule(req)
 	if err != nil {
@@ -404,7 +404,7 @@ func TestServiceL2DeadlineBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := l2Request(t, 14, 11)
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, L2: dc})
+	svc := New(Config{Workers: 1, L2: dc})
 	defer svc.Close()
 	ctx := t.Context()
 	if _, err := svc.ScheduleAnytime(ctx, req, core.Budget{Deadline: time.Now().Add(5 * time.Millisecond)}); err != nil {
@@ -422,7 +422,7 @@ func TestDiskCacheConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(Config{Shards: 2, WorkersPerShard: 1})
+	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	type pair struct {
 		req Request

@@ -19,7 +19,7 @@ var portfolioTestEngines = []string{"LoC-MPS", "CPR", "M-HEFT"}
 func TestPortfolioSchedule(t *testing.T) {
 	tg := testGraph(t, 24, 9100)
 	c := testClusterP(8)
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 
 	got, err := svc.Schedule(Request{Graph: tg, Cluster: c, Portfolio: portfolioTestEngines})
@@ -76,7 +76,7 @@ func TestPortfolioSchedule(t *testing.T) {
 func TestPortfolioWinnerRouting(t *testing.T) {
 	tg := testGraph(t, 24, 9200)
 	c := testClusterP(8)
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	req := Request{Graph: tg, Cluster: c, Portfolio: portfolioTestEngines}
 
@@ -119,7 +119,7 @@ func TestPortfolioWinnerPersistence(t *testing.T) {
 	}
 	req := Request{Graph: tg, Cluster: c, Portfolio: portfolioTestEngines}
 
-	svc1 := New(Config{Shards: 1, WorkersPerShard: 1, L2: l2})
+	svc1 := New(Config{Workers: 1, L2: l2})
 	cold, err := svc1.Schedule(req)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestPortfolioWinnerPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc2 := New(Config{Shards: 1, WorkersPerShard: 1, L2: l2b})
+	svc2 := New(Config{Workers: 1, L2: l2b})
 	defer svc2.Close()
 	// Deadline requests bypass L1 and L2 result caches entirely, so the
 	// only way this can avoid a race is the persisted winner record.
@@ -158,7 +158,7 @@ func TestPortfolioDeterminism(t *testing.T) {
 	req := Request{Graph: tg, Cluster: c, Portfolio: nil} // nil = all engines via loadgen paths
 	req.Portfolio = []string{"LoC-MPS", "iCASLB", "CPR", "CPA", "TASK", "DATA", "M-HEFT"}
 
-	run := func() *Service { return New(Config{Shards: 2, WorkersPerShard: 2}) }
+	run := func() *Service { return New(Config{Workers: 4}) }
 	svc1 := run()
 	first, err := svc1.Schedule(req)
 	svc1.Close()
@@ -184,7 +184,7 @@ func TestPortfolioDeterminism(t *testing.T) {
 func TestPortfolioAnytimeRules(t *testing.T) {
 	tg := testGraph(t, 12, 9500)
 	c := testClusterP(4)
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 
 	_, err := svc.ScheduleAnytime(context.Background(),

@@ -10,51 +10,33 @@ import (
 	"locmps/internal/synth"
 )
 
-// sameShardGates returns two gate requests whose fingerprints route to the
-// same shard of svc, and the function that opens both gates. It is also a
-// cleanup, so a failing test never leaves a worker parked for Close to
-// wait on; register svc.Close as a cleanup before calling this.
-func sameShardGates(t *testing.T, svc *Service, cluster model.Cluster) ([2]Request, [2]gateProfile, func()) {
+// twoGates returns two distinct gate requests and the function that opens
+// both gates. It is also a cleanup, so a failing test never leaves a
+// worker parked for Close to wait on; register svc.Close as a cleanup
+// before calling this.
+func twoGates(t *testing.T, cluster model.Cluster) ([2]Request, [2]gateProfile, func()) {
 	t.Helper()
-	first := make(map[*shard]int)
-	var reqs []Request
-	var profs []gateProfile
-	for t1 := 10.0; t1 < 100; t1++ {
-		req, prof, k := gateRequest(t, t1, cluster, nil)
-		reqs, profs = append(reqs, req), append(profs, prof)
-		sh := svc.shardFor(k)
-		if i, ok := first[sh]; ok {
-			open := sync.OnceFunc(func() {
-				close(profs[i].gate)
-				close(prof.gate)
-			})
-			t.Cleanup(open)
-			return [2]Request{reqs[i], req}, [2]gateProfile{profs[i], prof}, open
-		}
-		first[sh] = len(reqs) - 1
+	var reqs [2]Request
+	var profs [2]gateProfile
+	for i := range reqs {
+		reqs[i], profs[i] = gateRequest(t, 10+float64(i), cluster, nil)
 	}
-	t.Fatal("no two gate requests share a shard")
-	panic("unreachable")
+	open := sync.OnceFunc(func() {
+		close(profs[0].gate)
+		close(profs[1].gate)
+	})
+	t.Cleanup(open)
+	return reqs, profs, open
 }
 
-// sameShardRequests returns n distinct requests whose fingerprints route
-// to one shard of svc.
-func sameShardRequests(t *testing.T, svc *Service, cluster model.Cluster, n int, seed int64) []Request {
+// distinctRequests returns n distinct requests.
+func distinctRequests(t *testing.T, cluster model.Cluster, n int, seed int64) []Request {
 	t.Helper()
-	byShard := make(map[*shard][]Request)
-	for s := seed; s < seed+200; s++ {
-		req := Request{Graph: testGraph(t, 8, s), Cluster: cluster}
-		k, err := req.Fingerprint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := svc.shardFor(k)
-		if byShard[sh] = append(byShard[sh], req); len(byShard[sh]) == n {
-			return byShard[sh]
-		}
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = Request{Graph: testGraph(t, 8, seed+int64(i)), Cluster: cluster}
 	}
-	t.Fatalf("no %d requests share a shard", n)
-	return nil
+	return reqs
 }
 
 // awaitEntered waits until a gated run is parked inside its worker.
@@ -67,15 +49,14 @@ func awaitEntered(t *testing.T, prof gateProfile, what string) {
 	}
 }
 
-// TestServiceSameShardColdJobsRunConcurrently: workers are not tied to
-// shards, so two cold jobs whose keys route to the same shard run at the
-// same time on a two-worker service. Each parks inside its run until the
-// test opens its gate; with one worker per shard the second would wait in
-// the queue behind the first and never enter.
-func TestServiceSameShardColdJobsRunConcurrently(t *testing.T) {
-	svc := New(Config{Shards: 2, WorkersPerShard: 1, QueueDepth: 4, CacheEntries: 8})
+// TestServiceColdJobsRunConcurrently: two cold jobs run at the same time
+// on a two-worker service. Each parks inside its run until the test opens
+// its gate; with one worker the second would wait in the queue behind the
+// first and never enter.
+func TestServiceColdJobsRunConcurrently(t *testing.T) {
+	svc := New(Config{Workers: 2, QueueDepth: 4, CacheEntries: 8})
 	t.Cleanup(svc.Close)
-	reqs, profs, open := sameShardGates(t, svc, testClusterP(4))
+	reqs, profs, open := twoGates(t, testClusterP(4))
 
 	var wg sync.WaitGroup
 	for i := range reqs {
@@ -87,8 +68,8 @@ func TestServiceSameShardColdJobsRunConcurrently(t *testing.T) {
 			}
 		}(reqs[i])
 	}
-	awaitEntered(t, profs[0], "first same-shard job")
-	awaitEntered(t, profs[1], "second same-shard job")
+	awaitEntered(t, profs[0], "first gated job")
+	awaitEntered(t, profs[1], "second gated job")
 	open()
 	wg.Wait()
 	if st := svc.Stats(); st.Scheduled != 2 || st.Failed != 0 {
@@ -96,16 +77,15 @@ func TestServiceSameShardColdJobsRunConcurrently(t *testing.T) {
 	}
 }
 
-// TestServiceOverloadAtTotalBound: the job queue holds Shards × QueueDepth
-// jobs whatever their shards. With both workers parked, two queued jobs of
-// one shard fit a 2-shard, depth-1 service, and the next admission fails
-// fast with ErrOverloaded.
+// TestServiceOverloadAtTotalBound: the job queue holds Workers × QueueDepth
+// jobs. With both workers parked, two queued jobs fit a 2-worker, depth-1
+// service, and the next admission fails fast with ErrOverloaded.
 func TestServiceOverloadAtTotalBound(t *testing.T) {
-	svc := New(Config{Shards: 2, WorkersPerShard: 1, QueueDepth: 1, CacheEntries: 8})
+	svc := New(Config{Workers: 2, QueueDepth: 1, CacheEntries: 8})
 	t.Cleanup(svc.Close)
 	cluster := testClusterP(4)
-	gates, profs, open := sameShardGates(t, svc, cluster)
-	queued := sameShardRequests(t, svc, cluster, 2, 300)
+	gates, profs, open := twoGates(t, cluster)
+	queued := distinctRequests(t, cluster, 2, 300)
 
 	var wg sync.WaitGroup
 	run := func(req Request, what string) {
@@ -149,11 +129,11 @@ func TestServiceOverloadAtTotalBound(t *testing.T) {
 // still runs every job already queued, delivering each leader its
 // schedule, and a second Close is a no-op.
 func TestServiceCloseDrainsQueuedLeaders(t *testing.T) {
-	svc := New(Config{Shards: 2, WorkersPerShard: 1, QueueDepth: 4, CacheEntries: 8})
+	svc := New(Config{Workers: 2, QueueDepth: 4, CacheEntries: 8})
 	t.Cleanup(svc.Close)
 	cluster := testClusterP(4)
-	gates, profs, open := sameShardGates(t, svc, cluster)
-	queued := sameShardRequests(t, svc, cluster, 3, 400)
+	gates, profs, open := twoGates(t, cluster)
+	queued := distinctRequests(t, cluster, 3, 400)
 
 	errs := make(chan error, len(gates)+len(queued))
 	run := func(req Request) {
@@ -182,18 +162,12 @@ func TestServiceCloseDrainsQueuedLeaders(t *testing.T) {
 		svc.Close()
 		close(closed)
 	}()
-	allClosed := func() bool {
-		for _, sh := range svc.shards {
-			sh.mu.Lock()
-			c := sh.closed
-			sh.mu.Unlock()
-			if !c {
-				return false
-			}
-		}
-		return true
+	isClosed := func() bool {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return svc.closed
 	}
-	for !allClosed() {
+	for !isClosed() {
 		time.Sleep(time.Millisecond)
 	}
 	late := Request{Graph: testGraph(t, 8, 399), Cluster: cluster}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -16,6 +15,7 @@ import (
 	"locmps/internal/portfolio"
 	"locmps/internal/sched"
 	"locmps/internal/schedule"
+	"locmps/internal/serve/lru"
 )
 
 // ErrOverloaded is returned when the service's job queue is full: the
@@ -37,24 +37,16 @@ var ErrAnytimeUnsupported = errors.New("serve: anytime budgets require a LoC-MPS
 
 // Config sizes the service. The zero value selects sensible defaults.
 type Config struct {
-	// Shards is the number of independent shards. Requests are routed to a
-	// shard by fingerprint; each shard owns a segment of the result cache,
-	// its own in-flight (coalescing) table and the lock that admits its
-	// requests. Shards do not own workers: every cold run goes through one
-	// service-wide job queue. Default: GOMAXPROCS, capped at 8.
-	Shards int
-	// WorkersPerShard sizes the worker pool: Shards × WorkersPerShard
-	// worker goroutines drain the shared job queue, so a cold job runs on
-	// whichever worker is free, whatever its shard. Each search takes its
-	// scratch from the core scheduler's shared pool. Default 1.
-	WorkersPerShard int
-	// QueueDepth sizes the shared job queue: it holds Shards × QueueDepth
-	// pending cold jobs in total, and an admission beyond that fails fast
-	// with ErrOverloaded. Default 64.
+	// Workers is the number of worker goroutines draining the job queue;
+	// a cold job runs on whichever worker is free. Each search takes its
+	// scratch from the core scheduler's shared pool. Default: GOMAXPROCS,
+	// capped at 8.
+	Workers int
+	// QueueDepth sizes the job queue per worker: it holds Workers ×
+	// QueueDepth pending cold jobs in total, and an admission beyond that
+	// fails fast with ErrOverloaded. Default 64.
 	QueueDepth int
-	// CacheEntries bounds the total number of cached schedules across all
-	// shards (each shard holds CacheEntries/Shards, at least one). Default
-	// 1024.
+	// CacheEntries bounds the number of cached schedules. Default 1024.
 	CacheEntries int
 	// L2 is an optional second-level result cache (typically a DiskCache)
 	// consulted by the workers after an L1 miss, before running a search,
@@ -80,14 +72,8 @@ type SecondLevel interface {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards < 1 {
-		c.Shards = runtime.GOMAXPROCS(0)
-		if c.Shards > 8 {
-			c.Shards = 8
-		}
-	}
-	if c.WorkersPerShard < 1 {
-		c.WorkersPerShard = 1
+	if c.Workers < 1 {
+		c.Workers = min(runtime.GOMAXPROCS(0), 8)
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 64
@@ -102,21 +88,27 @@ func (c Config) withDefaults() Config {
 // the paper's baselines. Schedule is safe for arbitrary concurrent use; the
 // heavy lifting happens on a pool of workers behind one bounded job
 // queue, identical concurrent requests coalesce into one run, and completed
-// results are served from a sharded content-addressed LRU cache as deep
-// copies bit-identical to a cold run.
+// results are served from a content-addressed LRU cache as deep copies
+// bit-identical to a cold run.
 type Service struct {
-	cfg    Config
-	shards []*shard
-	// queue is the work-conserving job queue every worker drains; jobs
-	// carry their shard for the cache and in-flight bookkeeping. Sends
-	// happen under the job's shard lock while that shard is open, and
-	// Close closes every shard before closing the queue.
-	queue  chan *job
-	wg     sync.WaitGroup
-	start  time.Time
-	closed atomic.Bool
+	cfg Config
 
-	winners winnerRegistry
+	// mu guards cache, inflight, winners and closed. Sends to queue happen
+	// under mu while the service is open, and Close marks it closed before
+	// closing the queue.
+	mu       sync.Mutex
+	cache    *lru.Cache[Key, cached]
+	inflight map[Key]*call
+	// winners maps portfolio fingerprints to winning engine names. Entries
+	// are never stale: the fingerprint covers the engine list and the
+	// instance, and races are deterministic.
+	winners *lru.Cache[Key, string]
+	closed  bool
+
+	// queue is the work-conserving job queue every worker drains.
+	queue chan *job
+	wg    sync.WaitGroup
+	start time.Time
 
 	requests       atomic.Uint64
 	portfolioRaces atomic.Uint64
@@ -136,11 +128,14 @@ type Service struct {
 	lat            *latring.Ring
 }
 
-type shard struct {
-	mu       sync.Mutex
-	cache    *lruCache
-	inflight map[Key]*call
-	closed   bool
+// cached is one result-cache entry. The service hands callers deep copies
+// (schedule.Clone), so a cached schedule is never mutated from outside.
+type cached struct {
+	sched *schedule.Schedule
+	// truncated records whether the result came from a budget-truncated
+	// anytime run (core.AnytimeResult.Truncated); always false for
+	// unbudgeted requests.
+	truncated bool
 }
 
 // call is one in-flight cold run: the leader enqueued it, followers block
@@ -156,7 +151,6 @@ type call struct {
 type job struct {
 	req Request
 	key Key
-	sh  *shard // owns key's cache segment and in-flight entry
 	c   *call
 	// ctx is the leader's context: the worker aborts the run (or skips it
 	// entirely if still queued) once it is done, freeing the slot for work
@@ -179,29 +173,17 @@ func New(cfg Config) *Service {
 		cfg:   cfg,
 		start: time.Now(),
 		lat:   latring.New(latWindow),
-		queue: make(chan *job, cfg.Shards*cfg.QueueDepth),
+		queue: make(chan *job, cfg.Workers*cfg.QueueDepth),
+
+		inflight: make(map[Key]*call),
+		winners:  lru.New[Key, string](winnerCap, nil),
 	}
-	s.winners.init(winnerCap)
-	perShard := cfg.CacheEntries / cfg.Shards
-	if perShard < 1 {
-		perShard = 1
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, &shard{
-			cache:    newLRU(perShard),
-			inflight: make(map[Key]*call),
-		})
-	}
-	for w := 0; w < cfg.Shards*cfg.WorkersPerShard; w++ {
+	s.cache = lru.New(cfg.CacheEntries, func(Key, cached) { s.evictions.Add(1) })
+	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s
-}
-
-// shardFor routes a fingerprint to its shard.
-func (s *Service) shardFor(k Key) *shard {
-	return s.shards[binary.LittleEndian.Uint64(k[:8])%uint64(len(s.shards))]
 }
 
 // Schedule resolves one request, blocking until the schedule is available:
@@ -288,9 +270,8 @@ func (s *Service) resolve(ctx context.Context, req Request, deadline time.Time) 
 		}
 	}
 	s.requests.Add(1)
-	sh := s.shardFor(key)
 	for {
-		res, truncated, err := s.attempt(ctx, sh, key, req, deadline)
+		res, truncated, err := s.attempt(ctx, key, req, deadline)
 		if err != nil && isCtxErr(err) && ctx.Err() == nil {
 			// The leader whose run we joined is gone but this caller is
 			// not: run it again under our own leadership.
@@ -302,36 +283,35 @@ func (s *Service) resolve(ctx context.Context, req Request, deadline time.Time) 
 
 // attempt makes one pass through cache → coalescing → queue admission and
 // waits for the outcome.
-func (s *Service) attempt(ctx context.Context, sh *shard, key Key, req Request, deadline time.Time) (*schedule.Schedule, bool, error) {
+func (s *Service) attempt(ctx context.Context, key Key, req Request, deadline time.Time) (*schedule.Schedule, bool, error) {
 	cacheable := deadline.IsZero()
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return nil, false, ErrClosed
 	}
-	var c *call
 	if cacheable {
-		if cached, truncated, ok := sh.cache.get(key); ok {
-			sh.mu.Unlock()
+		if hit, ok := s.cache.Get(key); ok {
+			s.mu.Unlock()
 			s.hits.Add(1)
-			return cached, truncated, nil
+			return hit.sched, hit.truncated, nil
 		}
-		if waiting, ok := sh.inflight[key]; ok {
-			sh.mu.Unlock()
+		if waiting, ok := s.inflight[key]; ok {
+			s.mu.Unlock()
 			s.coalesced.Add(1)
 			return s.await(ctx, waiting)
 		}
 	}
-	c = &call{done: make(chan struct{})}
-	jb := &job{req: req, key: key, sh: sh, c: c, ctx: ctx, deadline: deadline, cacheable: cacheable}
+	c := &call{done: make(chan struct{})}
+	jb := &job{req: req, key: key, c: c, ctx: ctx, deadline: deadline, cacheable: cacheable}
 	select {
 	case s.queue <- jb:
 		if cacheable {
-			sh.inflight[key] = c
+			s.inflight[key] = c
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 	default:
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		s.rejected.Add(1)
 		return nil, false, ErrOverloaded
 	}
@@ -375,17 +355,14 @@ func (s *Service) worker() {
 	algs := make(map[Options]schedule.Engine)
 	for jb := range s.queue {
 		res, truncated, err := s.runJob(algs, jb)
-		sh := jb.sh
-		sh.mu.Lock()
 		if jb.cacheable {
-			delete(sh.inflight, jb.key)
+			s.mu.Lock()
+			delete(s.inflight, jb.key)
 			if err == nil {
-				if sh.cache.add(jb.key, res, truncated) {
-					s.evictions.Add(1)
-				}
+				s.cache.Add(jb.key, cached{res, truncated})
 			}
+			s.mu.Unlock()
 		}
-		sh.mu.Unlock()
 		switch {
 		case err == nil:
 			s.scheduled.Add(1)
@@ -530,12 +507,15 @@ type WinnerStore interface {
 // no longer resolves — a foreign or stale disk record — is a miss, never an
 // error: the race simply runs again.
 func (s *Service) lookupWinner(k Key) (string, bool) {
-	if name, ok := s.winners.get(k); ok {
+	s.mu.Lock()
+	name, ok := s.winners.Get(k)
+	s.mu.Unlock()
+	if ok {
 		return name, true
 	}
 	if ws, ok := s.cfg.L2.(WinnerStore); ok {
 		if name, ok := ws.GetWinner(k); ok && sched.Known(name) {
-			s.winners.put(k, name)
+			s.rememberWinner(k, name)
 			return name, true
 		}
 	}
@@ -545,54 +525,25 @@ func (s *Service) lookupWinner(k Key) (string, bool) {
 // storeWinner records a race's deterministic winner in memory and, when
 // available, in the L2 winner store.
 func (s *Service) storeWinner(k Key, name string) {
-	s.winners.put(k, name)
+	s.rememberWinner(k, name)
 	if ws, ok := s.cfg.L2.(WinnerStore); ok {
 		ws.PutWinner(k, name)
 	}
+}
+
+func (s *Service) rememberWinner(k Key, name string) {
+	if name == "" {
+		return
+	}
+	s.mu.Lock()
+	s.winners.Add(k, name)
+	s.mu.Unlock()
 }
 
 // winnerCap bounds the in-memory winner cache. Entries are a Key and an
 // engine name, so this is purely a routing table, not a result cache;
 // evicted fingerprints fall back to the L2 winner store or to a re-race.
 const winnerCap = 1024
-
-// winnerRegistry maps portfolio fingerprints to winning engine names.
-// Entries are never stale — the fingerprint covers the engine list and the
-// instance, and races are deterministic — so eviction is plain FIFO.
-type winnerRegistry struct {
-	mu   sync.Mutex
-	max  int
-	m    map[Key]string
-	fifo []Key
-}
-
-func (r *winnerRegistry) init(max int) {
-	r.max = max
-	r.m = make(map[Key]string, max)
-}
-
-func (r *winnerRegistry) get(k Key) (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	name, ok := r.m[k]
-	return name, ok
-}
-
-func (r *winnerRegistry) put(k Key, name string) {
-	if name == "" {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.m[k]; !ok {
-		if len(r.fifo) >= r.max {
-			delete(r.m, r.fifo[0])
-			r.fifo = r.fifo[1:]
-		}
-		r.fifo = append(r.fifo, k)
-	}
-	r.m[k] = name
-}
 
 // buildScheduler materializes the scheduler for normalized options.
 func buildScheduler(o Options) (schedule.Engine, error) {
@@ -608,20 +559,19 @@ func buildScheduler(o Options) (schedule.Engine, error) {
 	return alg, nil
 }
 
-// Close marks every shard closed, drains the queued work and waits for the
-// workers to exit. Pending leaders still receive their results; Schedule
-// calls arriving afterwards fail with ErrClosed. Close is idempotent.
+// Close stops admission, drains the queued work and waits for the workers
+// to exit. Pending leaders still receive their results; Schedule calls
+// arriving afterwards fail with ErrClosed. Close is idempotent.
 func (s *Service) Close() {
-	if s.closed.Swap(true) {
+	s.mu.Lock()
+	closed := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if closed {
 		return
 	}
-	// Once every shard is closed no admission can send again, so the
-	// shared queue can close behind the sends already made.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.closed = true
-		sh.mu.Unlock()
-	}
+	// Once closed, no admission can send again, so the queue can close
+	// behind the sends already made.
 	close(s.queue)
 	s.wg.Wait()
 }
@@ -665,8 +615,8 @@ type Stats struct {
 	// number of cached schedules.
 	Evictions    uint64
 	CacheEntries int
-	// Shards and Workers describe the running topology.
-	Shards, Workers int
+	// Workers is the size of the worker pool.
+	Workers int
 	// Deprecated: SearchWorkers is always 0. Searches run serially; the
 	// field remains only because the frozen e2ebench module still reads it.
 	SearchWorkers int
@@ -704,15 +654,12 @@ func (s *Service) Stats() Stats {
 		L2Hits:         s.l2Hits.Load(),
 		L2Misses:       s.l2Misses.Load(),
 		L2Writes:       s.l2Writes.Load(),
-		Shards:         len(s.shards),
-		Workers:        len(s.shards) * s.cfg.WorkersPerShard,
+		Workers:        s.cfg.Workers,
 		Uptime:         time.Since(s.start),
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		st.CacheEntries += sh.cache.len()
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	st.CacheEntries = s.cache.Len()
+	s.mu.Unlock()
 	st.P50, st.P99 = s.lat.Quantiles()
 	return st
 }

@@ -101,7 +101,7 @@ func directRun(t *testing.T, req Request) *schedule.Schedule {
 // run with a fresh scheduler. Mixed sizes force the scratch to regrow
 // between runs; mixed algorithms exercise every dispatch path.
 func TestServiceBitIdenticalColdAndHit(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 8, CacheEntries: 32})
+	svc := New(Config{Workers: 1, QueueDepth: 8, CacheEntries: 32})
 	defer svc.Close()
 
 	reqs := []Request{
@@ -148,7 +148,7 @@ func TestServiceBitIdenticalColdAndHit(t *testing.T) {
 // Config.SearchWorkers and checks it is ignored: Stats reports 0 and cold
 // runs stay bit-identical to a direct run.
 func TestServiceSearchWorkersBitIdentical(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 8, CacheEntries: 32, SearchWorkers: 4})
+	svc := New(Config{Workers: 1, QueueDepth: 8, CacheEntries: 32, SearchWorkers: 4})
 	defer svc.Close()
 	if got := svc.Stats().SearchWorkers; got != 0 {
 		t.Fatalf("Stats().SearchWorkers = %d, want 0", got)
@@ -207,7 +207,7 @@ func (p gateProfile) Time(n int) float64 {
 // so that the service's own fingerprint pass is the last unblocked read. It
 // returns the request's key as well — recomputing it after arming would eat
 // the budget and stall the caller instead of the worker.
-func gateRequest(t *testing.T, t1 float64, cluster model.Cluster, trap *atomic.Bool) (Request, gateProfile, Key) {
+func gateRequest(t *testing.T, t1 float64, cluster model.Cluster, trap *atomic.Bool) (Request, gateProfile) {
 	t.Helper()
 	prof := gateProfile{
 		t1:        t1,
@@ -225,38 +225,32 @@ func gateRequest(t *testing.T, t1 float64, cluster model.Cluster, trap *atomic.B
 	}
 	req := Request{Graph: tg, Cluster: cluster}
 	before := prof.calls.Load()
-	k, err := req.Fingerprint()
-	if err != nil {
+	if _, err := req.Fingerprint(); err != nil {
 		t.Fatal(err)
 	}
 	perFingerprint := prof.calls.Load() - before
 	// Allow exactly one more fingerprint pass (Schedule's); the next read —
 	// the worker's — stalls.
 	prof.budget.Store(prof.calls.Load() + perFingerprint)
-	return req, prof, k
+	return req, prof
 }
 
 // TestServiceConcurrentCoalescing drives 64 concurrent requests over 8
-// distinct keys and mixed algorithms through a 2-shard service (run under
-// -race in CI). Both shard workers are first parked inside gated runs so
-// every flood request is admitted while its leader is still in flight:
-// exactly one leader per distinct key, every duplicate coalesced.
+// distinct keys and mixed algorithms through a 2-worker service (run under
+// -race in CI). Both workers are first parked inside gated runs so every
+// flood request is admitted while its leader is still in flight: exactly
+// one leader per distinct key, every duplicate coalesced.
 func TestServiceConcurrentCoalescing(t *testing.T) {
-	svc := New(Config{Shards: 2, WorkersPerShard: 1, QueueDepth: 64, CacheEntries: 64})
+	svc := New(Config{Workers: 2, QueueDepth: 64, CacheEntries: 64})
 	defer svc.Close()
 	cluster := testClusterP(8)
 
-	// Find one gate request per shard (the shard is derived from the
-	// fingerprint, so probe t1 values until both shards are covered).
-	gates := make(map[*shard]gateProfile)
+	// Park every worker inside a gated run.
+	var gates []gateProfile
 	var gateWG sync.WaitGroup
-	for t1 := 10.0; len(gates) < len(svc.shards) && t1 < 100; t1++ {
-		req, prof, k := gateRequest(t, t1, cluster, nil)
-		sh := svc.shardFor(k)
-		if _, ok := gates[sh]; ok {
-			continue
-		}
-		gates[sh] = prof
+	for w := range svc.Stats().Workers {
+		req, prof := gateRequest(t, 10+float64(w), cluster, nil)
+		gates = append(gates, prof)
 		gateWG.Add(1)
 		go func(req Request) {
 			defer gateWG.Done()
@@ -264,9 +258,6 @@ func TestServiceConcurrentCoalescing(t *testing.T) {
 				t.Errorf("gate request: %v", err)
 			}
 		}(req)
-	}
-	if len(gates) < len(svc.shards) {
-		t.Fatal("could not cover every shard with a gate request")
 	}
 	for _, prof := range gates {
 		<-prof.entered // worker is provably stalled inside the run
@@ -353,10 +344,34 @@ func TestServiceConcurrentCoalescing(t *testing.T) {
 	}
 }
 
+// TestCacheEntriesIsExact: CacheEntries bounds the whole result cache, not
+// a per-worker share, so N distinct keys fit a cache of N entries on a
+// two-worker service: N repeats are all hits and nothing is evicted.
+func TestCacheEntriesIsExact(t *testing.T) {
+	const n = 8
+	svc := New(Config{Workers: 2, CacheEntries: n})
+	defer svc.Close()
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = Request{Graph: testGraph(t, 6, int64(700+i)), Cluster: testClusterP(4), Options: Options{Algorithm: "CPR"}}
+		if _, err := svc.Schedule(reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, req := range reqs {
+		if _, err := svc.Schedule(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := svc.Stats(); st.CacheHits != n || st.Evictions != 0 || st.CacheEntries != n {
+		t.Fatalf("CacheHits = %d, Evictions = %d, CacheEntries = %d; want %d, 0, %d", st.CacheHits, st.Evictions, st.CacheEntries, n, n)
+	}
+}
+
 // TestServiceCacheHitIsDeepCopy: mutating a returned schedule must not
 // corrupt the cache — later hits still match the direct run bit for bit.
 func TestServiceCacheHitIsDeepCopy(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 4, CacheEntries: 8})
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 8})
 	defer svc.Close()
 
 	req := Request{Graph: testGraph(t, 16, 7), Cluster: testClusterP(8)}
@@ -417,7 +432,7 @@ func (p slowProfile) Time(n int) float64 {
 // distinct requests beyond worker+queue must fail fast with ErrOverloaded,
 // and the service must keep serving afterwards.
 func TestServiceOverload(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 1, CacheEntries: 8})
+	svc := New(Config{Workers: 1, QueueDepth: 1, CacheEntries: 8})
 	defer svc.Close()
 
 	cluster := testClusterP(4)
@@ -476,11 +491,11 @@ func TestServiceOverload(t *testing.T) {
 // process — and the service must keep serving afterwards. A gated profile
 // parks the worker inside the run, then the trap is sprung.
 func TestServicePanicIsolation(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 4, CacheEntries: 8})
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 8})
 	defer svc.Close()
 
 	trap := new(atomic.Bool)
-	req, prof, _ := gateRequest(t, 10, testClusterP(4), trap)
+	req, prof := gateRequest(t, 10, testClusterP(4), trap)
 
 	done := make(chan error, 1)
 	go func() {
@@ -510,7 +525,7 @@ func TestServicePanicIsolation(t *testing.T) {
 
 // TestServiceRejectsBadRequests: validation errors surface at admission.
 func TestServiceRejectsBadRequests(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 4, CacheEntries: 8})
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 8})
 	defer svc.Close()
 
 	if _, err := svc.Schedule(Request{Cluster: testClusterP(4)}); err == nil {
@@ -532,7 +547,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 // TestServiceClose: Close is idempotent, later Schedule calls fail with
 // ErrClosed, and in-flight work completes.
 func TestServiceClose(t *testing.T) {
-	svc := New(Config{Shards: 2, WorkersPerShard: 1, QueueDepth: 4, CacheEntries: 8})
+	svc := New(Config{Workers: 2, QueueDepth: 4, CacheEntries: 8})
 	req := Request{Graph: testGraph(t, 8, 80), Cluster: testClusterP(4)}
 	if _, err := svc.Schedule(req); err != nil {
 		t.Fatal(err)
@@ -546,7 +561,7 @@ func TestServiceClose(t *testing.T) {
 
 // TestServiceStatsLatency: completions populate the latency window.
 func TestServiceStatsLatency(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 4, CacheEntries: 8})
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 8})
 	defer svc.Close()
 	req := Request{Graph: testGraph(t, 12, 90), Cluster: testClusterP(8)}
 	for i := 0; i < 3; i++ {
@@ -572,7 +587,7 @@ func TestServiceStatsLatency(t *testing.T) {
 // Interface conformance: the service's admission check and the registry's
 // dispatch must agree on every registered algorithm name.
 func TestServiceAcceptsEveryRegisteredAlgorithm(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 4, CacheEntries: 32})
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 32})
 	defer svc.Close()
 	tg := testGraph(t, 8, 95)
 	// Every ByName-registered algorithm except OPT (exhaustive; toy-only).

@@ -293,7 +293,7 @@ func TestWireBudgetRoundTrip(t *testing.T) {
 func TestWireScheduleRoundTrip(t *testing.T) {
 	tg := wireGraph(t)
 	c := model.Cluster{P: 4, Bandwidth: 12.5e6, Overlap: true}
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	orig, err := svc.Schedule(Request{Graph: tg, Cluster: c})
 	if err != nil {
@@ -332,7 +332,7 @@ func TestWireScheduleRoundTrip(t *testing.T) {
 func TestWireScheduleLengthValidation(t *testing.T) {
 	tg := wireGraph(t)
 	c := model.Cluster{P: 4, Bandwidth: 12.5e6}
-	svc := New(Config{Shards: 1, WorkersPerShard: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	s, err := svc.Schedule(Request{Graph: tg, Cluster: c})
 	if err != nil {

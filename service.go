@@ -6,14 +6,14 @@ import (
 )
 
 // Service is a concurrent scheduling service over the LoC-MPS kernel and
-// the baselines: a sharded content-addressed result cache over canonical
+// the baselines: a content-addressed result cache over canonical
 // request fingerprints, coalescing of identical in-flight requests, and a
 // pool of workers that run the cold searches. Construct with NewService;
 // Schedule is safe for concurrent use.
 type Service = serve.Service
 
-// ServiceConfig sizes a Service (shards, workers per shard, queue depth,
-// cache entries). The zero value selects sensible defaults.
+// ServiceConfig sizes a Service (workers, queue depth per worker, cache
+// entries). The zero value selects sensible defaults.
 type ServiceConfig = serve.Config
 
 // ServiceRequest is one unit of work: schedule Graph onto Cluster under
@@ -30,8 +30,8 @@ type ServiceStats = serve.Stats
 // ServiceKey is the canonical content address of a ServiceRequest.
 type ServiceKey = serve.Key
 
-// ErrOverloaded is returned by Service.Schedule when the request's shard
-// queue is full; ErrClosed after Close; ErrAnytimeUnsupported by
+// ErrOverloaded is returned by Service.Schedule when the job queue is
+// full; ErrClosed after Close; ErrAnytimeUnsupported by
 // Service.ScheduleAnytime for baselines and Dual requests, which have no
 // single iterative search to truncate.
 var (
